@@ -12,8 +12,8 @@ from .algebra import (Algebra, Element, Fingerprint, QuadIdentityCoeffs,
                       check_quadratic_identity, check_rho_associative,
                       commutator_algebra, direct_sum, fingerprint,
                       jacobi_coeffs, polarize, quadratic_identity_value, rho)
-from .catalog import (CatalogEntry, all_entries, catalog, entry,
-                      enumerate_finite, recognize)
+from .catalog import (CatalogEntry, all_entries, entry, enumerate_finite,
+                      recognize)
 from .cohomology import (GradedAlgebra, check_cyclic_sum, delta0, delta1,
                          delta2, delta3, g_map, infer_grading)
 from .fields import FpElement, PrimeField, Q, RationalField

@@ -4,14 +4,14 @@ The classification lists cover dimensions 2..5, where every algebra
 satisfying the cyclic triple-bracket law is one of the catalog entries up
 to isomorphism.  ``enumerate_finite`` re-derives the dimension-2 and -3
 statements over F_3 and F_5 by brute force: it enumerates every
-anticommutative tensor, filters by the linearized law, and counts orbits
-under the full general linear group.
+anticommutative tensor, filters by the linearized law, and counts
+GL(n, p)-orbits on the survivors by closing them under a generating set of
+n(n-1) + 1 matrices (``_gl_generators``); no group table is built.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-
-import numpy as np
 
 from .algebra import Algebra, Fingerprint, check_acaa, fingerprint
 from .fields import Q, is_prime
@@ -137,6 +137,8 @@ _CHUNK = 1 << 17
 
 
 def _decode(codes, count, p):
+    import numpy as np
+
     out = np.empty((len(codes), count), dtype=np.int64)
     c = codes.copy()
     for q in range(count):
@@ -147,6 +149,8 @@ def _decode(codes, count, p):
 
 def _encode(out, p):
     # out: (n, npairs, dim), pair-major digit order matching _decode
+    import numpy as np
+
     n, npairs, dim = out.shape
     codes = np.zeros(n, dtype=np.int64)
     mult = 1
@@ -164,6 +168,8 @@ def _acaa_mask(C, dim, p, pairs):
     basis bracket is a signed pair vector, which keeps everything in a few
     broadcast multiplies per triple.
     """
+    import numpy as np
+
     n = C.shape[0]
     pair_index = {pr: q for q, pr in enumerate(pairs)}
 
@@ -198,71 +204,128 @@ def _acaa_mask(C, dim, p, pairs):
     return ok
 
 
-_GL_CACHE = {}
+def _gl_order(dim, p):
+    """|GL(dim, p)| = prod_i (p^dim - p^i)."""
+    order = 1
+    for i in range(dim):
+        order *= p ** dim - p ** i
+    return order
 
 
-def _gl_group(dim, p):
-    """All invertible dim x dim matrices over F_p with their inverses."""
-    key = (dim, p)
-    if key in _GL_CACHE:
-        return _GL_CACHE[key]
-    total = p ** (dim * dim)
-    M = _decode(np.arange(total, dtype=np.int64), dim * dim, p).reshape(total, dim, dim)
-    if dim == 2:
-        det = (M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]) % p
-    else:
-        det = (M[:, 0, 0] * (M[:, 1, 1] * M[:, 2, 2] - M[:, 1, 2] * M[:, 2, 1])
-               - M[:, 0, 1] * (M[:, 1, 0] * M[:, 2, 2] - M[:, 1, 2] * M[:, 2, 0])
-               + M[:, 0, 2] * (M[:, 1, 0] * M[:, 2, 1] - M[:, 1, 1] * M[:, 2, 0])) % p
-    keep = det != 0
-    G = M[keep]
-    det = det[keep]
-    inv_table = np.array([0] + [pow(i, p - 2, p) for i in range(1, p)], dtype=np.int64)
-    adj = np.empty_like(G)
-    idx = list(range(dim))
-    for a in range(dim):
-        for b in range(dim):
-            if dim == 2:
-                minor = G[:, 1 - b, 1 - a] % p
-            else:
-                r = [x for x in idx if x != b]
-                c = [x for x in idx if x != a]
-                minor = (G[:, r[0], c[0]] * G[:, r[1], c[1]]
-                         - G[:, r[0], c[1]] * G[:, r[1], c[0]]) % p
-            if (a + b) % 2:
-                minor = (-minor) % p
-            adj[:, a, b] = minor
-    Ginv = (adj * inv_table[det][:, None, None]) % p
-    sample = min(64, len(G))
-    check = np.einsum("gij,gjk->gik", G[:sample], Ginv[:sample]) % p
-    if not (check == np.eye(dim, dtype=np.int64)[None]).all():
-        raise RuntimeError("inverse table failed self-check")
-    _GL_CACHE[key] = (G, Ginv)
-    return G, Ginv
+def _gl_generators(dim, p):
+    """A generating set of GL(dim, p), each matrix paired with its inverse.
+
+    The set is the transvections I + E_ij (i != j) and diag(g, 1, ..., 1)
+    with g the least primitive root mod p.  Row reduction by the moves
+    "add t times row j to row i", which are left multiplications by
+    I + t E_ij, takes any invertible matrix to diag(d, 1, ..., 1) with d its
+    determinant; so these transvections generate SL(dim, p), and
+    I + t E_ij = (I + E_ij)^t because E_ij^2 = 0.  The determinant map
+    GL -> F_p^x splits by d -> diag(d, 1, ..., 1), and g generates F_p^x,
+    so adding diag(g, 1, ..., 1) generates all of GL(dim, p).  In a finite
+    group every inverse is a positive power, so the closure of a point
+    under the generators alone is its whole orbit.
+    """
+    import numpy as np
+
+    root = next(g for g in range(1, p)
+                if len({pow(g, k, p) for k in range(1, p)}) == p - 1)
+    eye = np.eye(dim, dtype=np.int64)
+    gens = []
+    for i in range(dim):
+        for j in range(dim):
+            if i != j:
+                g, ginv = eye.copy(), eye.copy()
+                g[i, j], ginv[i, j] = 1, p - 1
+                gens.append((g, ginv))
+    g, ginv = eye.copy(), eye.copy()
+    g[0, 0], ginv[0, 0] = root, pow(root, p - 2, p)
+    gens.append((g, ginv))
+    return gens
 
 
-def _act_all(G, Ginv, pairs, c, p, dim):
-    """Codes of g.c for every g, acting by change of basis on a skew tensor."""
-    npairs = len(pairs)
-    out_codes = []
-    for lo in range(0, len(G), _CHUNK):
-        Gc = G[lo:lo + _CHUNK]
-        Gi = Ginv[lo:lo + _CHUNK]
-        ng = len(Gc)
-        if dim == 2:
-            det = (Gc[:, 0, 0] * Gc[:, 1, 1] - Gc[:, 0, 1] * Gc[:, 1, 0]) % p
-            tmp = (det[:, None] * c[0][None, :]) % p
-            out = (np.einsum("gkm,gm->gk", Gi, tmp) % p)[:, None, :]
-        else:
-            minors = np.empty((ng, npairs, npairs), dtype=np.int64)
-            for s, (i, j) in enumerate(pairs):
-                for t, (a, b) in enumerate(pairs):
-                    minors[:, s, t] = (Gc[:, i, a] * Gc[:, j, b]
-                                       - Gc[:, j, a] * Gc[:, i, b]) % p
-            tmp = np.einsum("gst,sm->gtm", minors, c) % p
-            out = np.einsum("gkm,gtm->gtk", Gi, tmp) % p
-        out_codes.append(_encode(out, p))
-    return np.concatenate(out_codes)
+def _act(C, g, ginv, pairs, p):
+    """g^-1 c(g x, g y) for every skew tensor c in C, shaped (n, pairs, dim).
+
+    The bracket of the new basis pair (a, b) collects the old pair brackets
+    through the 2x2 minors of g, then returns to new coordinates by g^-1.
+    """
+    import numpy as np
+
+    minors = np.array([[g[i, a] * g[j, b] - g[j, a] * g[i, b] for a, b in pairs]
+                       for i, j in pairs], dtype=np.int64)
+    return np.einsum("st,nsm,km->ntk", minors, C, ginv) % p
+
+
+def _orbit_sizes(survivors, dim, p):
+    """Sorted sizes of the GL(dim, p)-orbits on the sorted survivor codes.
+
+    Each generator of ``_gl_generators`` acts once on the whole survivor
+    array; every image is mapped back to a survivor index, and the orbits
+    are the connected components of those edges (union-find).  The sizes
+    must sum to the survivor count and each must divide |GL(dim, p)|
+    (orbit-stabilizer); an image outside the survivors means the filter is
+    not GL-invariant.  Any of these raises RuntimeError.
+    """
+    import numpy as np
+
+    pairs = list(combinations(range(dim), 2))
+    n = len(survivors)
+    C = _decode(survivors, len(pairs) * dim, p).reshape(n, len(pairs), dim)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for g, ginv in _gl_generators(dim, p):
+        images = _encode(_act(C, g, ginv, pairs, p), p)
+        idx = np.minimum(np.searchsorted(survivors, images), n - 1)
+        if not (survivors[idx] == images).all():
+            raise RuntimeError("orbit left the filtered set; enumeration inconsistent")
+        for a, b in enumerate(idx.tolist()):
+            parent[find(a)] = find(b)
+    sizes = sorted(Counter(find(x) for x in range(n)).values())
+    order = _gl_order(dim, p)
+    if sum(sizes) != n or any(order % s for s in sizes):
+        raise RuntimeError(f"orbit sizes {sizes} fail orbit-stabilizer for"
+                           f" {n} survivors and |GL| = {order}")
+    return sizes
+
+
+def _chunked(total, keep, jobs):
+    """Concatenation of keep(codes) over range(total) in chunks of _CHUNK
+    codes, in order; jobs > 1 spreads the chunks over that many threads."""
+    import numpy as np
+
+    bounds = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
+
+    def run(bound):
+        return keep(np.arange(*bound, dtype=np.int64))
+
+    if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return np.concatenate(list(pool.map(run, bounds)))
+    return np.concatenate([run(b) for b in bounds])
+
+
+def _scan(dim, p, jobs):
+    """Sorted codes of the skew tensors over F_p that pass ``_acaa_mask``."""
+    pairs = list(combinations(range(dim), 2))
+    ncoef = len(pairs) * dim
+    total = p ** ncoef
+    if total > _SIZE_GUARD:
+        raise ValueError(f"{total} candidates exceed the size guard")
+
+    def keep(codes):
+        C = _decode(codes, ncoef, p).reshape(len(codes), len(pairs), dim)
+        return codes[_acaa_mask(C, dim, p, pairs)]
+
+    return _chunked(total, keep, jobs)
 
 
 def enumerate_finite(dim: int, p: int, jobs: int = 1):
@@ -275,40 +338,5 @@ def enumerate_finite(dim: int, p: int, jobs: int = 1):
         raise ValueError("enumeration supports dimensions 2 and 3 only")
     if not is_prime(p) or p == 2 or p > 5:
         raise ValueError("p must be an odd prime at most 5")
-    pairs = list(combinations(range(dim), 2))
-    ncoef = len(pairs) * dim
-    total = p ** ncoef
-    if total > _SIZE_GUARD:
-        raise ValueError(f"{total} candidates exceed the size guard")
-
-    bounds = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
-
-    def scan(bound):
-        lo, hi = bound
-        codes = np.arange(lo, hi, dtype=np.int64)
-        C = _decode(codes, ncoef, p).reshape(hi - lo, len(pairs), dim)
-        return codes[_acaa_mask(C, dim, p, pairs)]
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(scan, bounds))
-    else:
-        parts = [scan(b) for b in bounds]
-    survivors = np.concatenate(parts)
-    survivor_set = set(survivors.tolist())
-
-    G, Ginv = _gl_group(dim, p)
-    visited = set()
-    classes = 0
-    for code in survivors.tolist():
-        if code in visited:
-            continue
-        c = _decode(np.array([code], dtype=np.int64), ncoef, p).reshape(len(pairs), dim)
-        orbit = set(np.unique(_act_all(G, Ginv, pairs, c, p, dim)).tolist())
-        if not orbit <= survivor_set:
-            raise RuntimeError("orbit left the filtered set; enumeration inconsistent")
-        visited |= orbit
-        classes += 1
-    return len(survivor_set), classes
+    survivors = _scan(dim, p, jobs)
+    return len(survivors), len(_orbit_sizes(survivors, dim, p))

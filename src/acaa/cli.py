@@ -69,6 +69,11 @@ def _load_algebra_arg(ref: str):
         raise CliError(f"no such file or catalog entry: {ref}")
 
 
+def _require_positive(option, value):
+    if value < 1:
+        raise CliError(f"--{option} must be a positive integer, got {value}")
+
+
 def _labels(A, indices):
     return [A.label(i) for i in indices]
 
@@ -131,6 +136,7 @@ def cmd_recognize(args) -> CommandReport:
 
 
 def cmd_enumerate(args) -> CommandReport:
+    _require_positive("jobs", args.jobs)
     acaa_count, iso = enumerate_finite(args.dim, args.p, jobs=args.jobs)
     return CommandReport("enumerate", "value",
                          payload={"dim": args.dim, "p": args.p,
@@ -148,6 +154,7 @@ def cmd_ad(args) -> CommandReport:
 
 
 def cmd_rep_check(args) -> CommandReport:
+    _require_positive("jobs", args.jobs)
     if args.h3_search:
         result = h3_faithfulness_search(args.p, args.d, jobs=args.jobs)
         if result is None:
@@ -165,7 +172,7 @@ def cmd_rep_check(args) -> CommandReport:
     elif args.representation:
         with open(args.representation) as fh:
             data = json.load(fh)
-        source = data.get("source")
+        source = data.get("source") if isinstance(data, dict) else None
         if not isinstance(source, str):
             raise CliError("representation file lacks a source algebra reference")
         A = _load_algebra_arg(source)
@@ -184,6 +191,7 @@ def cmd_rep_check(args) -> CommandReport:
 
 
 def cmd_cohomology(args) -> CommandReport:
+    _require_positive("samples", args.samples)
     A = _load_algebra_arg(args.algebra)
     rng = random.Random(args.seed)
     payload = {"check": args.check, "samples": args.samples, "seed": args.seed}
@@ -231,6 +239,7 @@ def cmd_cohomology(args) -> CommandReport:
 
 
 def cmd_series(args) -> CommandReport:
+    _require_positive("order", args.order)
     if args.series_command == "inverse":
         u = series.minimal_model_series(args.order,
                                         negated_convention=args.negated_convention)
@@ -250,6 +259,7 @@ def cmd_series(args) -> CommandReport:
 
 def cmd_operad(args) -> CommandReport:
     if args.operad_command == "dims":
+        _require_positive("count", args.count)
         return CommandReport("operad", "value",
                              payload={"acaa": operad.acaa_dims(args.count),
                                       "dual": operad.dual_dims(args.count)})

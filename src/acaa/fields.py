@@ -91,7 +91,10 @@ class RationalField:
     def parse(self, v) -> Fraction:
         """Read a serialized value: a string like ``"-3/4"`` or ``"5"``."""
         if isinstance(v, (str, int)):
-            return Fraction(v)
+            try:
+                return Fraction(v)
+            except ZeroDivisionError:
+                raise ValueError(f"rational literal {v!r} divides by zero") from None
         raise ValueError(f"bad rational literal {v!r}")
 
     def to_json(self, x: Fraction):
@@ -169,5 +172,8 @@ def field_from_json(data: dict):
     if data.get("type") == "Q":
         return Q
     if data.get("type") == "Fp":
-        return PrimeField(int(data["p"]))
+        p = data.get("p")
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise ValueError(f"F_p field description needs an integer \"p\", got {p!r}")
+        return PrimeField(p)
     raise ValueError(f"unknown field description {data!r}")

@@ -12,9 +12,8 @@ pair, so no faithful triple of images exists for the 3-dimensional
 Heisenberg algebra at that matrix size.
 """
 
-import numpy as np
-
 from .algebra import Algebra, Element, check_acaa
+from .catalog import _chunked, _decode
 from .linalg import Matrix
 
 
@@ -165,6 +164,7 @@ def is_faithful(rep: Representation) -> bool:
 
 
 _SEARCH_GUARD = 10_000_000
+_PAIR_BLOCK = 64
 
 
 def h3_faithfulness_search(p: int, d: int = 3, jobs: int = 1):
@@ -183,37 +183,34 @@ def h3_faithfulness_search(p: int, d: int = 3, jobs: int = 1):
     if total > _SEARCH_GUARD:
         raise ValueError("matrix space exceeds the size guard")
 
-    chunk = 1 << 17
-    bounds = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+    import numpy as np
 
-    def scan(bound):
-        lo, hi = bound
-        codes = np.arange(lo, hi, dtype=np.int64)
-        digits = np.empty((hi - lo, d * d), dtype=np.int64)
-        c = codes.copy()
-        for q in range(d * d):
-            digits[:, q] = c % p
-            c //= p
-        M = digits.reshape(hi - lo, d, d)
-        sq = np.einsum("nij,njk->nik", M, M) % p
-        return M[(sq == 0).all(axis=(1, 2))]
+    def keep(codes):
+        M = _decode(codes, d * d, p).reshape(len(codes), d, d)
+        return M[(np.einsum("nij,njk->nik", M, M) % p == 0).all(axis=(1, 2))]
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    nilpotents = _chunked(total, keep, jobs)
+    found = _first_anticommuting_pair(nilpotents, p)
+    if found is None:
+        return None
+    return tuple(tuple(tuple(int(v) for v in row) for row in nilpotents[i]) for i in found)
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(scan, bounds))
-    else:
-        parts = [scan(b) for b in bounds]
-    nilpotents = np.concatenate(parts)
 
-    products = np.einsum("aij,bjk->abik", nilpotents, nilpotents) % p
-    anti = ((products + products.transpose(1, 0, 2, 3)) % p == 0).all(axis=(2, 3))
-    nonzero = (products != 0).any(axis=(2, 3))
-    bad = anti & nonzero
-    if bad.any():
-        a, b = np.argwhere(bad)[0]
-        x = tuple(tuple(int(v) for v in row) for row in nilpotents[a])
-        y = tuple(tuple(int(v) for v in row) for row in nilpotents[b])
-        return (x, y)
+def _first_anticommuting_pair(mats, p):
+    """The first (a, b) in lexicographic order with mats[a] mats[b] != 0 and
+    mats[a] mats[b] = -mats[b] mats[a] mod p, or None.
+
+    The products are formed in row blocks over a, scanned in order of a, so
+    only a block of the n x n x d x d product array is held at a time.
+    """
+    import numpy as np
+
+    for lo in range(0, len(mats), _PAIR_BLOCK):
+        rows = mats[lo:lo + _PAIR_BLOCK]
+        xy = np.einsum("aij,bjk->abik", rows, mats) % p
+        yx = np.einsum("bij,ajk->abik", mats, rows)
+        bad = ((xy + yx) % p == 0).all(axis=(2, 3)) & (xy != 0).any(axis=(2, 3))
+        if bad.any():
+            a, b = np.argwhere(bad)[0]
+            return lo + int(a), int(b)
     return None

@@ -35,16 +35,57 @@ def algebra_to_json(A: Algebra) -> dict:
     return data
 
 
+class FormatError(ValueError):
+    """A JSON document that does not have the shape its format requires."""
+
+
+def _integer(value, what):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _check_algebra_json(data) -> None:
+    """Raise FormatError unless data has the shape of an algebra file."""
+    if not isinstance(data, dict):
+        raise FormatError("an algebra must be a JSON object")
+    for key in ("field", "dim"):
+        if key not in data:
+            raise FormatError(f"algebra lacks {key!r}")
+    if not isinstance(data["field"], dict):
+        raise FormatError('"field" must be an object')
+    if _integer(data["dim"], '"dim"') < 0:
+        raise FormatError(f'"dim" must not be negative, got {data["dim"]}')
+    basis = data.get("basis")
+    if basis is not None and not (isinstance(basis, list)
+                                  and all(isinstance(b, str) for b in basis)):
+        raise FormatError('"basis" must be a list of strings')
+    products = data.get("products", [])
+    if not isinstance(products, list):
+        raise FormatError(f'"products" must be a list, got {products!r}')
+    for item in products:
+        if not isinstance(item, dict):
+            raise FormatError(f"product entry must be an object, got {item!r}")
+        for key in ("left", "right", "value"):
+            if key not in item:
+                raise FormatError(f"product entry lacks {key!r}")
+        _integer(item["left"], '"left"')
+        _integer(item["right"], '"right"')
+        if not isinstance(item["value"], dict):
+            raise FormatError(f'"value" must be an object, got {item["value"]!r}')
+
+
 def algebra_from_json(data: dict) -> Algebra:
+    _check_algebra_json(data)
     field = field_from_json(data["field"])
-    dim = int(data["dim"])
+    dim = data["dim"]
     symmetry = data.get("symmetry", "none")
     if symmetry not in ("none", "skew"):
         raise ValueError(f"unknown symmetry {symmetry!r}")
     skew = symmetry == "skew"
     products = {}
     for item in data.get("products", []):
-        i, j = int(item["left"]), int(item["right"])
+        i, j = item["left"], item["right"]
         if skew and i >= j:
             raise ValueError(f"skew file lists product ({i}, {j}) with left >= right")
         value = {int(k): field.parse(v) for k, v in item["value"].items()}
@@ -89,7 +130,14 @@ def representation_to_json(rep, source: str) -> dict:
 def representation_from_json(data: dict, algebra: Algebra):
     from .reps import Representation
 
-    target_dim = int(data["target_dim"])
+    for key in ("target_dim", "images"):
+        if key not in data:
+            raise FormatError(f"representation lacks {key!r}")
+    target_dim = _integer(data["target_dim"], '"target_dim"')
+    if not (isinstance(data["images"], list) and all(
+            isinstance(m, list) and all(isinstance(row, list) for row in m)
+            for m in data["images"])):
+        raise FormatError('"images" must be a list of matrices given as lists of rows')
     images = [matrix_from_json(algebra.field, rows) for rows in data["images"]]
     return Representation(algebra, target_dim, images)
 

@@ -1,10 +1,13 @@
 import random
+import types
 
+import numpy as np
 import pytest
 
 from acaa.algebra import (change_basis, check_acaa, check_quadratic_identity,
                           fingerprint, jacobi_coeffs)
-from acaa.catalog import (all_entries, catalog, entry, enumerate_finite,
+from acaa.catalog import (_gl_generators, _gl_order, _orbit_sizes, _scan,
+                          all_entries, catalog, entry, enumerate_finite,
                           recognize)
 from acaa.fields import PrimeField, Q
 from acaa.linalg import random_invertible
@@ -121,3 +124,44 @@ def test_enumerate_parameter_validation():
 
 def test_enumerate_jobs_partition_is_deterministic():
     assert enumerate_finite(3, 3, jobs=3) == enumerate_finite(3, 3)
+
+
+@pytest.mark.parametrize("dim,p,order", [(2, 3, 48), (2, 5, 480), (3, 3, 11232)])
+def test_generators_close_to_all_of_gl(dim, p, order):
+    # certificate for the generating set: the closure of the identity under
+    # the generators is the whole group, counted by the product formula
+    gens = _gl_generators(dim, p)
+    identity = np.eye(dim, dtype=np.int64)
+    for g, ginv in gens:
+        assert ((g @ ginv) % p == identity).all()
+    seen = {identity.tobytes()}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g, _ in gens:
+                h = (g @ m) % p
+                if h.tobytes() not in seen:
+                    seen.add(h.tobytes())
+                    nxt.append(h)
+        frontier = nxt
+    assert len(seen) == order == gl_order(dim, p) == _gl_order(dim, p)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_enumerate_dim3_orbit_sizes(p):
+    survivors = _scan(3, p, 1)
+    assert _orbit_sizes(survivors, 3, p) == [1, p ** 3 - 1]
+
+
+def test_orbit_closure_rejects_a_set_that_is_not_gl_invariant():
+    survivors = _scan(3, 3, 1)
+    with pytest.raises(RuntimeError, match="orbit left the filtered set"):
+        _orbit_sizes(survivors[:-1], 3, 3)
+
+
+def test_package_attribute_catalog_is_the_module():
+    import acaa.catalog as m
+
+    assert isinstance(m, types.ModuleType)
+    assert m.catalog(2)[0].name == "abelian2"

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -166,6 +169,45 @@ def test_malformed_file_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["check", "--identity", "acaa", str(path)]) == 2
+
+
+def one_error_line(capsys):
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.strip()]
+    return len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("doc", [
+    {"dim": 3, "symmetry": "skew", "products": []},
+    {"field": {"type": "Q"}, "dim": 3, "products": 5},
+    {"field": {"type": "Q"}, "dim": 3,
+     "products": [{"left": 0, "right": 1, "value": 5}]},
+])
+def test_malformed_algebra_exits_2_with_one_error_line(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--identity", "acaa", str(path)]) == 2
+    assert one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--check", "d2d1", "--algebra", "h5", "--samples", "-3"],
+    ["enumerate", "--dim", "2", "--p", "3", "--jobs", "0"],
+    ["rep-check", "--h3-search", "--jobs", "-1"],
+    ["series", "inverse", "--order", "0"],
+    ["operad", "dims", "--count", "0"],
+])
+def test_non_positive_counts_exit_2_with_one_error_line(capsys, argv):
+    assert main(argv) == 2
+    assert one_error_line(capsys)
+
+
+def test_cli_import_does_not_load_numpy():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    subprocess.run([sys.executable, "-c",
+                    "import acaa.cli, sys; assert 'numpy' not in sys.modules"],
+                   env=env, check=True)
 
 
 def test_acaa_failure_exits_1_jacobi_holds(capsys, tmp_path):

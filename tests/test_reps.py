@@ -173,6 +173,28 @@ def test_h3_search_validation():
         h3_faithfulness_search(3, d=4)
 
 
+def test_blocked_pair_scan_matches_full_product_array(monkeypatch):
+    import numpy as np
+
+    from acaa import reps
+
+    def reference(mats, p):
+        products = np.einsum("aij,bjk->abik", mats, mats) % p
+        anti = ((products + products.transpose(1, 0, 2, 3)) % p == 0).all(axis=(2, 3))
+        bad = anti & (products != 0).any(axis=(2, 3))
+        return tuple(int(v) for v in np.argwhere(bad)[0]) if bad.any() else None
+
+    rng = np.random.default_rng(5)
+    monkeypatch.setattr(reps, "_PAIR_BLOCK", 3)
+    found = 0
+    for _ in range(40):
+        mats = rng.integers(0, 3, size=(10, 2, 2)) * (rng.random((10, 2, 2)) < 0.3)
+        want = reference(mats, 3)
+        assert reps._first_anticommuting_pair(mats, 3) == want
+        found += want is not None
+    assert 0 < found < 40
+
+
 def test_h3_search_jobs_deterministic():
     assert h3_faithfulness_search(3, jobs=2) is None
 

@@ -8,10 +8,11 @@ from acaa.fields import PrimeField, Q
 from acaa.free import free_acaa
 from acaa.linalg import Matrix
 from acaa.reps import adjoint_representation
-from acaa.serialize import (algebra_from_json, algebra_to_json, cochain_from_json,
-                            cochain_to_json, load_algebra, matrix_from_json,
-                            matrix_to_json, representation_from_json,
-                            representation_to_json, save_algebra)
+from acaa.serialize import (FormatError, algebra_from_json, algebra_to_json,
+                            cochain_from_json, cochain_to_json, load_algebra,
+                            matrix_from_json, matrix_to_json,
+                            representation_from_json, representation_to_json,
+                            save_algebra)
 
 
 def test_algebra_round_trip():
@@ -66,6 +67,36 @@ def test_duplicate_product_entries_rejected():
     data = {"field": {"type": "Q"}, "dim": 2, "symmetry": "none",
             "products": [{"left": 0, "right": 1, "value": {"0": "1"}},
                          {"left": 0, "right": 1, "value": {"1": "1"}}]}
+    with pytest.raises(ValueError):
+        algebra_from_json(data)
+
+
+@pytest.mark.parametrize("data", [
+    [],
+    {"dim": 2},
+    {"field": {"type": "Q"}},
+    {"field": "Q", "dim": 2},
+    {"field": {"type": "Q"}, "dim": "2"},
+    {"field": {"type": "Q"}, "dim": 2, "products": 5},
+    {"field": {"type": "Q"}, "dim": 2, "products": [5]},
+    {"field": {"type": "Q"}, "dim": 2, "products": [{"left": 0, "right": 1}]},
+    {"field": {"type": "Q"}, "dim": 2,
+     "products": [{"left": 0, "right": 1, "value": 5}]},
+    {"field": {"type": "Q"}, "dim": 2,
+     "products": [{"left": "0", "right": 1, "value": {"0": "1"}}]},
+    {"field": {"type": "Q"}, "dim": 2, "basis": "e1 e2"},
+])
+def test_malformed_algebra_json_raises_format_error(data):
+    with pytest.raises(FormatError):
+        algebra_from_json(data)
+
+
+@pytest.mark.parametrize("field,value", [
+    ({"type": "Fp"}, 1), ({"type": "Fp", "p": "5"}, 1), ({"type": "Q"}, "1/0"),
+])
+def test_bad_field_or_literal_raises_value_error(field, value):
+    data = {"field": field, "dim": 2,
+            "products": [{"left": 0, "right": 1, "value": {"0": value}}]}
     with pytest.raises(ValueError):
         algebra_from_json(data)
 
