@@ -6,7 +6,10 @@ to isomorphism.  ``enumerate_finite`` re-derives the dimension-2 and -3
 statements over F_3 and F_5 by brute force: it enumerates every
 anticommutative tensor, filters by the linearized law, and counts
 GL(n, p)-orbits on the survivors by closing them under a generating set of
-n(n-1) + 1 matrices (``_gl_generators``); no group table is built.
+n(n-1) + 1 matrices (``_gl_generators``); no group table is built.  The
+filter (``_acaa_mask``) is staged and compacting: the basis-triple checks
+run cheapest first, each only on the tensors that passed the ones before,
+in int16 arithmetic, which holds every partial sum for p <= 5 (|sum| <= 64).
 """
 
 from collections import Counter
@@ -161,16 +164,16 @@ def _encode(out, p):
     return codes
 
 
-def _acaa_mask(C, dim, p, pairs):
-    """Mask of tensors satisfying [e_i,[e_j,e_k]] + [e_k,[e_j,e_i]] = 0.
+def _acaa_checks(dim, pairs):
+    """The linearized law as a list of checks, cheapest first.
 
-    The condition is symmetric in (i, k), so only i <= k is checked.  Each
-    basis bracket is a signed pair vector, which keeps everything in a few
-    broadcast multiplies per triple.
+    Check (i, j, k), i <= k, is [e_i,[e_j,e_k]] + [e_k,[e_j,e_i]] = 0; the
+    condition is symmetric in (i, k), so i > k adds nothing.  Each basis
+    bracket is a signed pair index, so a check is a list of terms
+    (sign, q1, m, q2) standing for sign * c[q1][m] * c[q2], a vector over
+    the basis.  Checks without terms, such as (0, 0, 0), hold for every
+    tensor and are dropped.
     """
-    import numpy as np
-
-    n = C.shape[0]
     pair_index = {pr: q for q, pr in enumerate(pairs)}
 
     def basis_bracket(i, m):
@@ -180,11 +183,11 @@ def _acaa_mask(C, dim, p, pairs):
             return 1, pair_index[(i, m)]
         return -1, pair_index[(m, i)]
 
-    ok = np.ones(n, dtype=bool)
+    checks = []
     for i in range(dim):
         for k in range(i, dim):
             for j in range(dim):
-                acc = np.zeros((n, dim), dtype=np.int64)
+                terms = []
                 for outer, inner_pair in ((i, (j, k)), (k, (j, i))):
                     b1 = basis_bracket(*inner_pair)
                     if b1 is None:
@@ -192,16 +195,40 @@ def _acaa_mask(C, dim, p, pairs):
                     s1, q1 = b1
                     for m in range(dim):
                         b2 = basis_bracket(outer, m)
-                        if b2 is None:
-                            continue
-                        s2, q2 = b2
-                        term = C[:, q1, m, None] * C[:, q2, :]
-                        if s1 * s2 > 0:
-                            acc += term
-                        else:
-                            acc -= term
-                ok &= (acc % p == 0).all(axis=1)
-    return ok
+                        if b2 is not None:
+                            s2, q2 = b2
+                            terms.append((s1 * s2, q1, m, q2))
+                if terms:
+                    checks.append(terms)
+    return sorted(checks, key=len)
+
+
+def _acaa_mask(C, dim, p, pairs):
+    """Mask over C of the tensors satisfying every check of ``_acaa_checks``.
+
+    The filter is staged and compacting: each check runs only on the
+    tensors that passed the checks before it, so after the first few
+    checks little is left to test.  The arithmetic is in int16: entries
+    lie in [0, p) with p <= 5, so a product is at most 16 and a check of
+    at most 2(dim - 1) = 4 terms stays within |64|.
+    """
+    import numpy as np
+
+    alive = np.arange(len(C))
+    D = C.astype(np.int16)
+    for terms in _acaa_checks(dim, pairs):
+        acc = np.zeros((len(D), dim), dtype=np.int16)
+        for sign, q1, m, q2 in terms:
+            term = D[:, q1, m, None] * D[:, q2, :]
+            if sign > 0:
+                acc += term
+            else:
+                acc -= term
+        ok = (acc % p == 0).all(axis=1)
+        alive, D = alive[ok], D[ok]
+    mask = np.zeros(len(C), dtype=bool)
+    mask[alive] = True
+    return mask
 
 
 def _gl_order(dim, p):
@@ -336,6 +363,7 @@ def enumerate_finite(dim: int, p: int, jobs: int = 1):
     """
     if dim not in (2, 3):
         raise ValueError("enumeration supports dimensions 2 and 3 only")
+    # p <= 5 keeps the int16 arithmetic of _acaa_mask within |64|
     if not is_prime(p) or p == 2 or p > 5:
         raise ValueError("p must be an odd prime at most 5")
     survivors = _scan(dim, p, jobs)

@@ -8,14 +8,35 @@ serialize their elements; nothing here ever rounds.
 from fractions import Fraction
 
 
+# Miller-Rabin with the prime bases up to 41 decides primality exactly for
+# every n below this bound (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError for n >= PRIME_LIMIT, where
+    these bases no longer decide primality."""
+    if n >= PRIME_LIMIT:
+        raise ValueError(f"{n} is beyond the exact primality test (n < {PRIME_LIMIT})")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

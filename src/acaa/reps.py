@@ -183,17 +183,27 @@ def h3_faithfulness_search(p: int, d: int = 3, jobs: int = 1):
     if total > _SEARCH_GUARD:
         raise ValueError("matrix space exceeds the size guard")
 
-    import numpy as np
-
-    def keep(codes):
-        M = _decode(codes, d * d, p).reshape(len(codes), d, d)
-        return M[(np.einsum("nij,njk->nik", M, M) % p == 0).all(axis=(1, 2))]
-
-    nilpotents = _chunked(total, keep, jobs)
+    nilpotents = _square_zero(p, d, jobs)
     found = _first_anticommuting_pair(nilpotents, p)
     if found is None:
         return None
     return tuple(tuple(tuple(int(v) for v in row) for row in nilpotents[i]) for i in found)
+
+
+def _square_zero(p, d, jobs):
+    """Every d x d matrix X over F_p with X^2 = 0, in code order.
+
+    The filter is staged and compacting: entry (i, k) of X^2 is tested only
+    on the matrices whose earlier entries vanished.
+    """
+    def keep(codes):
+        M = _decode(codes, d * d, p).reshape(len(codes), d, d)
+        for i in range(d):
+            for k in range(d):
+                M = M[(M[:, i, :] * M[:, :, k]).sum(axis=1) % p == 0]
+        return M
+
+    return _chunked(p ** (d * d), keep, jobs)
 
 
 def _first_anticommuting_pair(mats, p):
@@ -207,8 +217,8 @@ def _first_anticommuting_pair(mats, p):
 
     for lo in range(0, len(mats), _PAIR_BLOCK):
         rows = mats[lo:lo + _PAIR_BLOCK]
-        xy = np.einsum("aij,bjk->abik", rows, mats) % p
-        yx = np.einsum("bij,ajk->abik", mats, rows)
+        xy = rows[:, None] @ mats[None] % p
+        yx = mats[None] @ rows[:, None]
         bad = ((xy + yx) % p == 0).all(axis=(2, 3)) & (xy != 0).any(axis=(2, 3))
         if bad.any():
             a, b = np.argwhere(bad)[0]

@@ -1,14 +1,15 @@
 import random
 import types
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from acaa.algebra import (change_basis, check_acaa, check_quadratic_identity,
                           fingerprint, jacobi_coeffs)
-from acaa.catalog import (_gl_generators, _gl_order, _orbit_sizes, _scan,
-                          all_entries, catalog, entry, enumerate_finite,
-                          recognize)
+from acaa.catalog import (_acaa_mask, _decode, _gl_generators, _gl_order,
+                          _orbit_sizes, _scan, all_entries, catalog, entry,
+                          enumerate_finite, recognize)
 from acaa.fields import PrimeField, Q
 from acaa.linalg import random_invertible
 
@@ -111,6 +112,78 @@ def test_enumerate_dim3_mod3_matches_orbit_counting():
     # automorphism group of the Heisenberg algebra, of order |GL(2,p)| p^2
     expected = 1 + gl_order(3, 3) // (gl_order(2, 3) * 9)
     assert acaa_count == expected == 27
+
+
+def test_enumerate_dim3_mod5():
+    assert enumerate_finite(3, 5) == (125, 2)
+
+
+def reference_acaa_mask(C, dim, p, pairs):
+    # every basis-triple check on every tensor, in int64, with no staging
+    n = C.shape[0]
+    pair_index = {pr: q for q, pr in enumerate(pairs)}
+
+    def basis_bracket(i, m):
+        if i == m:
+            return None
+        if i < m:
+            return 1, pair_index[(i, m)]
+        return -1, pair_index[(m, i)]
+
+    ok = np.ones(n, dtype=bool)
+    for i in range(dim):
+        for k in range(i, dim):
+            for j in range(dim):
+                acc = np.zeros((n, dim), dtype=np.int64)
+                for outer, inner_pair in ((i, (j, k)), (k, (j, i))):
+                    b1 = basis_bracket(*inner_pair)
+                    if b1 is None:
+                        continue
+                    s1, q1 = b1
+                    for m in range(dim):
+                        b2 = basis_bracket(outer, m)
+                        if b2 is None:
+                            continue
+                        s2, q2 = b2
+                        term = C[:, q1, m, None] * C[:, q2, :]
+                        if s1 * s2 > 0:
+                            acc += term
+                        else:
+                            acc -= term
+                ok &= (acc % p == 0).all(axis=1)
+    return ok
+
+
+def assert_mask_matches_reference(codes, dim, p):
+    pairs = list(combinations(range(dim), 2))
+    C = _decode(codes, len(pairs) * dim, p).reshape(len(codes), len(pairs), dim)
+    want = reference_acaa_mask(C, dim, p, pairs)
+    got = _acaa_mask(C, dim, p, pairs)
+    assert got.dtype == bool and got.shape == (len(codes),)
+    assert np.array_equal(got, want)
+    return int(want.sum())
+
+
+@pytest.mark.parametrize("dim,p", [(2, 3), (2, 5), (3, 3)])
+def test_staged_mask_matches_reference_on_whole_space(dim, p):
+    total = p ** (dim * (dim * (dim - 1) // 2))
+    survivors = assert_mask_matches_reference(np.arange(total, dtype=np.int64), dim, p)
+    assert survivors == (1 if dim == 2 else p ** 3)
+
+
+def test_staged_mask_matches_reference_on_random_mod5_chunks():
+    rng = np.random.default_rng(11)
+    total = 5 ** 9
+    survivors = _scan(3, 5, 1)
+    for _ in range(3):
+        lo = int(rng.integers(0, total - 4096))
+        codes = np.arange(lo, lo + 4096, dtype=np.int64)
+        assert_mask_matches_reference(codes, 3, 5)
+    # a shuffled sample with every survivor and the all-(p - 1) tensor,
+    # which has the largest products
+    codes = np.concatenate([rng.integers(0, total, 20000), survivors, [0, total - 1]])
+    rng.shuffle(codes)
+    assert assert_mask_matches_reference(codes, 3, 5) >= len(survivors)
 
 
 def test_enumerate_parameter_validation():

@@ -181,6 +181,7 @@ def one_error_line(capsys):
     {"field": {"type": "Q"}, "dim": 3, "products": 5},
     {"field": {"type": "Q"}, "dim": 3,
      "products": [{"left": 0, "right": 1, "value": 5}]},
+    {"field": {"type": "Fp", "p": 2 ** 89 - 1}, "dim": 3, "products": []},
 ])
 def test_malformed_algebra_exits_2_with_one_error_line(capsys, tmp_path, doc):
     path = tmp_path / "bad.json"
@@ -201,13 +202,28 @@ def test_non_positive_counts_exit_2_with_one_error_line(capsys, argv):
     assert one_error_line(capsys)
 
 
-def test_cli_import_does_not_load_numpy():
+def src_env():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
+
+def test_cli_import_does_not_load_numpy():
     subprocess.run([sys.executable, "-c",
                     "import acaa.cli, sys; assert 'numpy' not in sys.modules"],
-                   env=env, check=True)
+                   env=src_env(), check=True)
+
+
+def test_large_prime_field_file_finishes(tmp_path):
+    # primality of p is decided by Miller-Rabin, not trial division to sqrt(p)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "field": {"type": "Fp", "p": 10 ** 18 + 3}, "dim": 3,
+        "products": [{"left": 0, "right": 1, "value": {"2": 1}}]}))
+    done = subprocess.run([sys.executable, "-m", "acaa.cli", "fingerprint", str(path)],
+                          env=src_env(), capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0
+    assert "fingerprint: [3, 1, 1, 0]" in done.stdout
 
 
 def test_acaa_failure_exits_1_jacobi_holds(capsys, tmp_path):

@@ -47,6 +47,34 @@ def test_is_prime_small():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
 
+def test_is_prime_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(-3, 10 ** 4) if is_prime(n)] == [
+        n for n in range(-3, 10 ** 4) if trial(n)]
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # Carmichael numbers, and the least strong pseudoprime to every prime
+    # base up to 37, which base 41 exposes
+    for n in (561, 1105, 1729, 2465, 2821, 6601, 318665857834031151167461):
+        assert not is_prime(n), n
+    for n in (10 ** 18 + 3, 2 ** 61 - 1, 2 ** 31 - 1):
+        assert is_prime(n), n
+
+
+def test_is_prime_refuses_beyond_its_exact_range():
+    from acaa.fields import PRIME_LIMIT
+
+    assert not is_prime(PRIME_LIMIT - 1)
+    with pytest.raises(ValueError):
+        is_prime(PRIME_LIMIT)
+    with pytest.raises(ValueError):
+        field_from_json({"type": "Fp", "p": 2 ** 89 - 1})
+    assert field_from_json({"type": "Fp", "p": 10 ** 18 + 3}).p == 10 ** 18 + 3
+
+
 def test_characteristic():
     assert Q.characteristic == 0
     assert PrimeField(7).characteristic == 7

@@ -185,14 +185,45 @@ def test_blocked_pair_scan_matches_full_product_array(monkeypatch):
         return tuple(int(v) for v in np.argwhere(bad)[0]) if bad.any() else None
 
     rng = np.random.default_rng(5)
-    monkeypatch.setattr(reps, "_PAIR_BLOCK", 3)
-    found = 0
-    for _ in range(40):
-        mats = rng.integers(0, 3, size=(10, 2, 2)) * (rng.random((10, 2, 2)) < 0.3)
-        want = reference(mats, 3)
-        assert reps._first_anticommuting_pair(mats, 3) == want
-        found += want is not None
-    assert 0 < found < 40
+    for d, p in ((2, 3), (3, 5)):
+        with monkeypatch.context() as m:
+            m.setattr(reps, "_PAIR_BLOCK", 3)
+            found = 0
+            for _ in range(40):
+                mats = rng.integers(0, p, size=(10, d, d)) * (rng.random((10, d, d)) < 0.3)
+                want = reference(mats, p)
+                assert reps._first_anticommuting_pair(mats, p) == want
+                found += want is not None
+            assert 0 < found < 40
+
+        # a planted pair X Y = -Y X != 0 among zero matrices, past the first
+        # row block of the default size
+        mats = np.zeros((200, d, d), dtype=np.int64)
+        mats[70, 0, 1] = mats[70, 1, 0] = 1
+        mats[130, 0, 0], mats[130, 1, 1] = 1, p - 1
+        assert reference(mats, p) == (70, 130)
+        assert reps._first_anticommuting_pair(mats, p) == (70, 130)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_square_zero_count_matches_closed_form(p):
+    import numpy as np
+
+    from acaa import reps
+    from acaa.catalog import _CHUNK, _decode
+
+    # X^2 = 0 on F_p^3 forces rank X <= 1, so X = 0 or X = u v^T with
+    # v.u = 0: p^3 - 1 choices of u, p^2 - 1 of v, and p - 1 pairs (u, v)
+    # give the same matrix
+    nilpotents = reps._square_zero(p, 3, 1)
+    assert len(nilpotents) == 1 + (p ** 3 - 1) * (p + 1) == {3: 105, 5: 745}[p]
+
+    codes = nilpotents.reshape(len(nilpotents), 9) @ (p ** np.arange(9))
+    assert (np.diff(codes) > 0).all()
+    n = min(_CHUNK, p ** 9)
+    chunk = _decode(np.arange(n, dtype=np.int64), 9, p).reshape(n, 3, 3)
+    want = chunk[(np.einsum("nij,njk->nik", chunk, chunk) % p == 0).all(axis=(1, 2))]
+    assert np.array_equal(nilpotents[codes < n], want)
 
 
 def test_h3_search_jobs_deterministic():
