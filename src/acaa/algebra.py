@@ -11,8 +11,10 @@ violating tuple of basis indices in lexicographic order.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
-from .linalg import Matrix, span
+from .linalg import Matrix
 
 # Order of the twelve degree-3 monomials in the general quadratic identity:
 # first the left-bracketed products (x_a x_b) x_c, then the right-bracketed
@@ -30,6 +32,72 @@ def perm_sign(seq) -> int:
     return -1 if inv % 2 else 1
 
 
+def _int_scale(field, values):
+    """(lam, to_int) with to_int(x) = lam * x as an int and lam the lcm of
+    the denominators of values over Q; over F_p lam = 1 and to_int(x) is
+    the residue of x."""
+    if field.characteristic:
+        return 1, lambda x: x.r
+    lam = lcm(*(x.denominator for x in values))
+    return lam, lambda x: x.numerator * (lam // x.denominator)
+
+
+def _int_reduce(rows, ncols, p):
+    """Gauss-Jordan elimination of integer rows: (rows, pivots, det).
+
+    With p > 0 it works mod p and leaves the reduced echelon form (every
+    pivot 1, so det = 1).  With p = 0 it is Bareiss's fraction-free elimination (Math. Comp. 22,
+    1968) in its Gauss-Jordan form: each step maps every other row to
+    (a * row - b * pivot row) // prev, with a the new pivot, b the row's
+    entry in the pivot column and prev the previous pivot.  Every entry is
+    then a minor of the input, so each division is exact; every pivot row
+    ends with det, the last pivot, in its pivot column.  Zero rows are
+    dropped; pivots are the pivot columns.
+    """
+    rows = [row for row in ([v % p for v in r] if p else list(r) for r in rows) if any(row)]
+    pivots = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top = rows[r]
+        if p:
+            inv = pow(top[c], -1, p)
+            top = rows[r] = [x * inv % p for x in top]
+        a = top[c]
+        for i, row in enumerate(rows):
+            b = row[c]
+            if i == r or (p and not b):
+                continue
+            if p:
+                rows[i] = [(x - b * y) % p for x, y in zip(row, top)]
+            else:
+                rows[i] = [(a * x - b * y) // prev for x, y in zip(row, top)]
+        prev = a
+        pivots.append(c)
+        rows[r + 1:] = [row for row in rows[r + 1:] if any(row)]
+    return rows, pivots, prev
+
+
+def _int_rank(rows, ncols, p):
+    """Rank of integer rows over Q (p = 0) or over F_p."""
+    return len(_int_reduce(rows, ncols, p)[1])
+
+
+def _mul_into(acc, plane, vec):
+    """acc += sum of c * plane[m] over the pairs (m, c) of a sparse vector,
+    plane being sparse integer rows; returns acc.  With plane = table[i]
+    (see ``Algebra.int_table``) this adds e_i * vec, with
+    plane = [table[m][k] for m] it adds vec * e_k."""
+    for m, c in vec:
+        for n, c2 in plane[m]:
+            acc[n] += c * c2
+    return acc
+
+
 class Algebra:
     """A finite-dimensional bilinear product held as structure constants.
 
@@ -37,7 +105,7 @@ class Algebra:
     validated at construction time.
     """
 
-    __slots__ = ("field", "dim", "tensor", "labels", "symmetry", "name", "_nz")
+    __slots__ = ("field", "dim", "tensor", "labels", "symmetry", "name", "_nz", "_int")
 
     def __init__(self, field, dim, tensor, labels=None, symmetry="none", name=None):
         tensor = tuple(tuple(tuple(row) for row in plane) for plane in tensor)
@@ -56,8 +124,7 @@ class Algebra:
         self.labels = labels
         self.symmetry = symmetry
         self.name = name
-        self._nz = tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c)
-                               for row in plane) for plane in tensor)
+        self._nz = self._int = None  # built on first use, see nonzero and int_table
         if symmetry == "skew":
             w = check_anticommutative(self)
             if w is not None:
@@ -97,15 +164,47 @@ class Algebra:
 
     def nonzero(self, i: int, j: int):
         """Nonzero coordinates of e_i * e_j as (index, coefficient) pairs."""
-        return self._nz[i][j]
+        nz = self._nz
+        if nz is None:
+            nz = self._build_nz()
+        return nz[i][j]
+
+    def _build_nz(self):
+        self._nz = tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c)
+                               for row in plane) for plane in self.tensor)
+        return self._nz
+
+    def int_table(self):
+        """The structure constants as Python ints (built on first use).
+
+        Returns (p, lam, table) with table[i][j] = ((k, c), ...) over the
+        nonzero coordinates of e_i * e_j.  Over F_p, p is the characteristic,
+        lam = 1 and the c are residues that callers reduce mod p.  Over Q,
+        p = 0 and every constant is scaled by lam, the lcm of the
+        denominators.  The map x -> lam x is an isomorphism from (A, lam c)
+        to (A, c), and every law and span taken from the table is
+        homogeneous in c (a double bracket scales by lam^2), so the scaled
+        table gives the same verdicts, the same first witnesses and the same
+        fingerprint.
+        """
+        if self._int is None:
+            lam, to_int = _int_scale(self.field, (c for plane in self.tensor
+                                                  for row in plane for c in row if c))
+            self._int = (self.field.characteristic, lam,
+                         tuple(tuple(tuple((k, to_int(c)) for k, c in enumerate(row) if c)
+                                     for row in plane) for plane in self.tensor))
+        return self._int
 
     def multiply_coords(self, x, y):
+        nz = self._nz
+        if nz is None:
+            nz = self._build_nz()
         zero = self.field.zero
         acc = [zero] * self.dim
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            nz_i = self._nz[i]
+            nz_i = nz[i]
             for j, yj in enumerate(y):
                 if not yj:
                     continue
@@ -265,37 +364,28 @@ def check_anticommutative(A: Algebra):
     return None
 
 
-def _bracket_into(A, i, pairs, acc, negate=False):
-    # acc += [e_i, v] where v is given sparsely as (index, coeff) pairs
-    nz_i = A._nz[i]
-    for m, c in pairs:
-        for k, c2 in nz_i[m]:
-            t = c * c2
-            acc[k] = acc[k] - t if negate else acc[k] + t
-    return acc
-
-
 def check_acaa(A: Algebra):
     """None, or the first triple (i, j, k) violating the linearized law
     [e_i, [e_j, e_k]] + [e_k, [e_j, e_i]] = 0.
 
     Requires an anticommutative algebra over a field of characteristic
     different from 2; under those hypotheses the linearized law is
-    equivalent to [x, [y, x]] = 0 for all elements.
+    equivalent to [x, [y, x]] = 0 for all elements.  The check runs on
+    ``Algebra.int_table``.
     """
     if A.field.characteristic == 2:
         raise ValueError("the linearized check is not valid in characteristic 2")
     w = check_anticommutative(A)
     if w is not None:
         raise ValueError(f"precondition failed: not anticommutative at basis pair {w}")
-    zero = A.field.zero
-    for i in range(A.dim):
-        for j in range(A.dim):
-            for k in range(A.dim):
-                acc = [zero] * A.dim
-                _bracket_into(A, i, A._nz[j][k], acc)
-                _bracket_into(A, k, A._nz[j][i], acc)
-                if any(acc):
+    p, _, t = A.int_table()
+    d = A.dim
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                acc = _mul_into([0] * d, t[i], t[j][k])
+                _mul_into(acc, t[k], t[j][i])
+                if any(v % p for v in acc) if p else any(acc):
                     return (i, j, k)
     return None
 
@@ -331,12 +421,11 @@ def polarize(A: Algebra):
 
 
 def commutator_algebra(B: Algebra) -> Algebra:
-    """The bracket [x, y] = x*y - y*x as a new (skew) algebra."""
-    t = B.tensor
-    minus = [[[a - b for a, b in zip(t[i][j], t[j][i])] for j in range(B.dim)]
-             for i in range(B.dim)]
-    return Algebra(B.field, B.dim, minus, labels=B.labels, symmetry="skew",
-                   name=f"[{B.name},.]" if B.name else None)
+    """The bracket [x, y] = x*y - y*x as a new (skew) algebra: the
+    antisymmetric part of ``polarize``."""
+    minus, _ = polarize(B)
+    minus.name = f"[{B.name},.]" if B.name else None
+    return minus
 
 
 def rho(B: Algebra, x: Element, y: Element, z: Element) -> Element:
@@ -391,32 +480,48 @@ class Fingerprint:
         return (self.dim, self.derived_dim, self.ann_dim, self.cube_dim)
 
 
-def fingerprint(A: Algebra) -> Fingerprint:
+def derived_cube_rows(A: Algebra):
+    """Integer spanning rows of the derived space A*A and of the cube space
+    (A*A)*A + A*(A*A), scaled as in ``Algebra.int_table`` (not reduced mod
+    p): the nonzero products e_i e_j, then (e_i e_j) e_k and e_k (e_i e_j)
+    for each of them and every k.  Returns (derived, cubes)."""
+    t = A.int_table()[2]
     d = A.dim
-    products = [A.tensor[i][j] for i in range(d) for j in range(d)]
-    derived = span(A.field, products, d).dim
-
-    cubes = []
+    cols = [[t[m][k] for m in range(d)] for k in range(d)]
+    derived, cubes = [], []
     for i in range(d):
         for j in range(d):
-            u = A.tensor[i][j]
-            if not any(u):
+            u = t[i][j]
+            if not u:
                 continue
+            row = [0] * d
+            for k, c in u:
+                row[k] = c
+            derived.append(row)
             for k in range(d):
-                ek = [A.field.one if m == k else A.field.zero for m in range(d)]
-                cubes.append(A.multiply_coords(u, ek))
-                cubes.append(A.multiply_coords(ek, u))
-    cube = span(A.field, cubes, d).dim
+                cubes.append(_mul_into([0] * d, cols[k], u))
+                cubes.append(_mul_into([0] * d, t[k], u))
+    return derived, cubes
 
-    # x is in the annihilator iff x*e_j = 0 and e_j*x = 0 for every j.
-    rows = []
-    for j in range(d):
-        for k in range(d):
-            rows.append([A.tensor[i][j][k] for i in range(d)])
-            rows.append([A.tensor[j][i][k] for i in range(d)])
-    ann = d - Matrix(A.field, rows).rank() if rows else d
 
-    return Fingerprint(d, derived, ann, cube)
+def fingerprint(A: Algebra) -> Fingerprint:
+    d = A.dim
+    p, _, t = A.int_table()
+    derived, cubes = derived_cube_rows(A)
+
+    # x is in the annihilator iff x*e_j = 0 and e_j*x = 0 for every j:
+    # left[j][k][i] = c[i][j][k] and right[j][k][i] = c[j][i][k].
+    left = [[[0] * d for _ in range(d)] for _ in range(d)]
+    right = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            for k, c in t[i][j]:
+                left[j][k][i] = c
+                right[i][k][j] = c
+    ann_rows = [row for half in (left, right) for plane in half for row in plane]
+
+    return Fingerprint(d, _int_rank(derived, d, p), d - _int_rank(ann_rows, d, p),
+                       _int_rank(cubes, d, p))
 
 
 def direct_sum(A: Algebra, B: Algebra) -> Algebra:
@@ -443,18 +548,37 @@ def direct_sum(A: Algebra, B: Algebra) -> Algebra:
 
 
 def change_basis(A: Algebra, P: Matrix) -> Algebra:
-    """Rewrite the tensor in the basis whose vectors are the columns of P."""
+    """Rewrite the tensor in the basis whose vectors are the columns of P.
+
+    The new constants are P^-1 c(P e_a, P e_b).  In integers: with M = mu P
+    and lam c integral (``Algebra.int_table``), fraction-free elimination
+    gives R = det * M^-1, and R applied to (lam c)(M e_a, M e_b) is
+    det * mu * lam times the result, which is divided out once per entry.
+    """
     if P.field != A.field or P.shape != (A.dim, A.dim):
         raise ValueError("change of basis matrix has wrong shape or field")
-    pinv = P.inverse()
+    p, lam, t = A.int_table()
     d = A.dim
-    cols = [tuple(P.entries[i][a] for i in range(d)) for a in range(d)]
+    mu, to_int = _int_scale(A.field, (x for row in P.entries for x in row))
+    M = [[to_int(x) for x in row] for row in P.entries]
+    rows, pivots, det = _int_reduce(
+        [row + [int(i == j) for j in range(d)] for i, row in enumerate(M)], d, p)
+    if pivots != list(range(d)):
+        raise ValueError("matrix is singular")
+    R = [row[d:] for row in rows]
+    den = det * mu * lam  # 1 over F_p
+    make = A.field.from_int if p else (lambda n: Fraction(n, den))
+    zero = A.field.zero
+    cols = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*M)]
+    # by[b][i] = e_i * (M e_b), so that (M e_a) * (M e_b) = sum_i M[i][a] by[b][i]
+    by = [[_mul_into([0] * d, t[i], col) for i in range(d)] for col in cols]
     tensor = []
-    for a in range(d):
+    for col in cols:
         plane = []
-        for b in range(d):
-            w = A.multiply_coords(cols[a], cols[b])
-            plane.append(list(pinv.apply(w)))
+        for rows_b in by:
+            w = [sum(c * rows_b[i][k] for i, c in col) for k in range(d)]
+            plane.append([make(n) if n else zero
+                          for n in (sum(r * v for r, v in zip(Rrow, w)) for Rrow in R)])
         tensor.append(plane)
     return Algebra(A.field, d, tensor, symmetry=A.symmetry)
 

@@ -140,14 +140,16 @@ _CHUNK = 1 << 17
 
 
 def _decode(codes, count, p):
+    """The base-p digits of each code, least significant first, shaped
+    (len(codes), count).  One divmod per digit fills a digit-major array
+    row by row; the result is its transposed view."""
     import numpy as np
 
-    out = np.empty((len(codes), count), dtype=np.int64)
-    c = codes.copy()
+    out = np.empty((count, len(codes)), dtype=np.int64)
+    c = codes
     for q in range(count):
-        out[:, q] = c % p
-        c //= p
-    return out
+        c, out[q] = np.divmod(c, p)
+    return out.T
 
 
 def _encode(out, p):
@@ -167,12 +169,14 @@ def _encode(out, p):
 def _acaa_checks(dim, pairs):
     """The linearized law as a list of checks, cheapest first.
 
-    Check (i, j, k), i <= k, is [e_i,[e_j,e_k]] + [e_k,[e_j,e_i]] = 0; the
-    condition is symmetric in (i, k), so i > k adds nothing.  Each basis
+    Check (i, j, k), i < k, is [e_i,[e_j,e_k]] + [e_k,[e_j,e_i]] = 0; the
+    condition is symmetric in (i, k), so i > k adds nothing, and i = k adds
+    nothing for odd p: check (i, i, i) has no terms, and for j != i check
+    (i, j, i), 2 [e_i,[e_j,e_i]], is -2 times check (min(i, j), i,
+    max(i, j)), whose one nonzero half is [e_i,[e_i,e_j]].  Each basis
     bracket is a signed pair index, so a check is a list of terms
     (sign, q1, m, q2) standing for sign * c[q1][m] * c[q2], a vector over
-    the basis.  Checks without terms, such as (0, 0, 0), hold for every
-    tensor and are dropped.
+    the basis.
     """
     pair_index = {pr: q for q, pr in enumerate(pairs)}
 
@@ -185,7 +189,7 @@ def _acaa_checks(dim, pairs):
 
     checks = []
     for i in range(dim):
-        for k in range(i, dim):
+        for k in range(i + 1, dim):
             for j in range(dim):
                 terms = []
                 for outer, inner_pair in ((i, (j, k)), (k, (j, i))):
@@ -198,8 +202,7 @@ def _acaa_checks(dim, pairs):
                         if b2 is not None:
                             s2, q2 = b2
                             terms.append((s1 * s2, q1, m, q2))
-                if terms:
-                    checks.append(terms)
+                checks.append(terms)
     return sorted(checks, key=len)
 
 

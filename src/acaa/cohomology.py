@@ -19,8 +19,9 @@ ones psi[i][j][k] -> coordinate vector.
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, Element, check_acaa, check_anticommutative
-from .linalg import Matrix
+from .algebra import (Algebra, Element, check_acaa, check_anticommutative,
+                      derived_cube_rows)
+from .linalg import Matrix, random_matrix, span
 from .reps import ad_matrix
 
 
@@ -253,22 +254,9 @@ def infer_grading(A: Algebra) -> GradedAlgebra:
     it but outside the span of length-3 products degree 2, the rest degree
     3.  Fails if the basis does not align with the filtration.
     """
-    from .linalg import span
-
     d = A.dim
-    products = [A.tensor[i][j] for i in range(d) for j in range(d)]
-    derived = span(A.field, products, d)
-    cubes = []
-    for i in range(d):
-        for j in range(d):
-            u = A.tensor[i][j]
-            if not any(u):
-                continue
-            for k in range(d):
-                ek = [A.field.one if m == k else A.field.zero for m in range(d)]
-                cubes.append(A.multiply_coords(u, ek))
-                cubes.append(A.multiply_coords(ek, u))
-    cube = span(A.field, cubes, d)
+    derived, cube = (span(A.field, [[A.field.from_int(v) for v in row] for row in rows], d)
+                     for rows in derived_cube_rows(A))
     degrees = []
     for i in range(d):
         e = [A.field.one if m == i else A.field.zero for m in range(d)]
@@ -302,8 +290,7 @@ def g_map(G: GradedAlgebra, x: int) -> Matrix:
 
 
 def random_endomorphism(A: Algebra, rng, lo=-3, hi=3) -> Matrix:
-    return Matrix(A.field, [[A.field.from_int(rng.randint(lo, hi))
-                             for _ in range(A.dim)] for _ in range(A.dim)])
+    return random_matrix(A.field, A.dim, A.dim, rng, lo, hi)
 
 
 def random_skew_cochain(A: Algebra, rng, lo=-3, hi=3):

@@ -2,17 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from acaa.algebra import (Algebra, acaa_coeffs, antiassociativity_coeffs,
-                          change_basis, check_acaa, check_acaa_admissible,
-                          check_anticommutative, check_quadratic_identity,
-                          check_rho_associative, commutator_algebra, direct_sum,
+from acaa.algebra import (Algebra, _int_rank, _int_reduce, acaa_coeffs,
+                          antiassociativity_coeffs, change_basis, check_acaa,
+                          check_acaa_admissible, check_anticommutative,
+                          check_quadratic_identity, check_rho_associative,
+                          commutator_algebra, derived_cube_rows, direct_sum,
                           fingerprint, jacobi_coeffs, polarize,
                           quadratic_identity_value, random_element, rho)
 from acaa.catalog import all_entries, entry
 from acaa.fields import PrimeField, Q
 from acaa.free import free_acaa
-from acaa.linalg import random_invertible
+from acaa.linalg import Matrix, random_invertible, span
 
 from conftest import (commutative_2, full_matrix_2x2, seven_dim_table,
                       simple_lie_3, upper_triangular_2x2)
@@ -284,3 +287,270 @@ def test_random_element_seeded():
     a = random_element(h3, random.Random(5))
     b = random_element(h3, random.Random(5))
     assert a == b
+
+
+# --- the integer kernel against the Fraction loops it replaced ---------------
+#
+# The references below are the former field-element implementations of
+# check_acaa, fingerprint and change_basis, kept here only as test oracles.
+
+def reference_check_acaa(A):
+    zero = A.field.zero
+
+    def bracket_into(i, vec, acc):
+        for m, c in vec:
+            for k, c2 in A.nonzero(i, m):
+                acc[k] = acc[k] + c * c2
+
+    for i in range(A.dim):
+        for j in range(A.dim):
+            for k in range(A.dim):
+                acc = [zero] * A.dim
+                bracket_into(i, A.nonzero(j, k), acc)
+                bracket_into(k, A.nonzero(j, i), acc)
+                if any(acc):
+                    return (i, j, k)
+    return None
+
+
+def reference_fingerprint(A):
+    d = A.dim
+    products = [A.tensor[i][j] for i in range(d) for j in range(d)]
+    cubes = []
+    for u in products:
+        if any(u):
+            for k in range(d):
+                ek = [A.field.one if m == k else A.field.zero for m in range(d)]
+                cubes.append(A.multiply_coords(u, ek))
+                cubes.append(A.multiply_coords(ek, u))
+    rows = []
+    for j in range(d):
+        for k in range(d):
+            rows.append([A.tensor[i][j][k] for i in range(d)])
+            rows.append([A.tensor[j][i][k] for i in range(d)])
+    ann = d - Matrix(A.field, rows).rank() if rows else d
+    return (d, span(A.field, products, d).dim, ann, span(A.field, cubes, d).dim)
+
+
+def reference_change_basis(A, P):
+    pinv = P.inverse()
+    d = A.dim
+    cols = [tuple(P.entries[i][a] for i in range(d)) for a in range(d)]
+    tensor = [[list(pinv.apply(A.multiply_coords(cols[a], cols[b]))) for b in range(d)]
+              for a in range(d)]
+    return Algebra(A.field, d, tensor, symmetry=A.symmetry)
+
+
+FIELDS = (Q, PrimeField(3), PrimeField(5))
+
+
+def scalar(field, draw_int, den):
+    """A field element from an integer and a positive denominator (the
+    denominator is ignored over F_p)."""
+    if field == Q:
+        return Fraction(draw_int, den)
+    return field.from_int(draw_int)
+
+
+@st.composite
+def skew_algebras(draw, max_dim=5):
+    """Random anticommutative algebras over Q (fractional entries), F_3 and
+    F_5, of three kinds: 2-step nilpotent ones (the first s basis vectors
+    bracket into the span of the others, which is central), so satisfying
+    the cyclic law, seen in a random basis; the same with one product
+    perturbed, which moves the first witness away from the start; and
+    plain random tables, which mostly fail early."""
+    field = draw(st.sampled_from(FIELDS))
+    d = draw(st.integers(2, max_dim))
+    kind = draw(st.sampled_from(("two-step", "perturbed", "random")))
+    density = draw(st.sampled_from((0.2, 0.5, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    s = d if kind == "random" else rng.randint(1, d - 1)
+    targets = range(d) if kind == "random" else range(s, d)
+    products = {}
+    for i in range(s):
+        for j in range(i + 1, s):
+            products[(i, j)] = {k: scalar(field, rng.randint(-4, 4), rng.randint(1, 6))
+                                for k in targets if rng.random() < density}
+    A = Algebra.from_products(field, d, products, skew=True)
+    if kind == "random":
+        return A
+    A = reference_change_basis(A, random_invertible_over(field, d, rng))
+    if kind == "perturbed":
+        t = [[list(row) for row in plane] for plane in A.tensor]
+        i, j = sorted(rng.sample(range(d), 2))
+        k = rng.randrange(d)
+        x = scalar(field, rng.choice((-1, 1)), rng.randint(1, 3))
+        t[i][j][k], t[j][i][k] = t[i][j][k] + x, t[j][i][k] - x
+        A = Algebra(field, d, t, symmetry="skew")
+    return A
+
+
+@st.composite
+def plain_algebras(draw, max_dim=4):
+    """Random algebras without symmetry over Q, F_3 and F_5."""
+    field = draw(st.sampled_from(FIELDS))
+    d = draw(st.integers(1, max_dim))
+    density = draw(st.sampled_from((0.1, 0.3, 0.7)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    zero = field.zero
+    tensor = [[[scalar(field, rng.randint(-3, 3), rng.randint(1, 4))
+                if rng.random() < density else zero for _ in range(d)]
+               for _ in range(d)] for _ in range(d)]
+    return Algebra(field, d, tensor)
+
+
+def random_invertible_over(field, d, rng):
+    """A random invertible matrix with entries like those of
+    ``random_invertible``, fractional over Q."""
+    while True:
+        P = Matrix(field, [[scalar(field, rng.randint(-3, 3), rng.randint(1, 3))
+                            for _ in range(d)] for _ in range(d)])
+        if P.rank() == d:
+            return P
+
+
+KERNEL_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@KERNEL_SETTINGS
+@given(skew_algebras())
+def test_check_acaa_witness_matches_fraction_reference(A):
+    assert check_acaa(A) == reference_check_acaa(A)
+
+
+@KERNEL_SETTINGS
+@given(skew_algebras())
+def test_fingerprint_matches_fraction_reference(A):
+    assert fingerprint(A).as_tuple() == reference_fingerprint(A)
+
+
+@KERNEL_SETTINGS
+@given(plain_algebras())
+def test_fingerprint_matches_fraction_reference_without_symmetry(A):
+    assert fingerprint(A).as_tuple() == reference_fingerprint(A)
+
+
+def test_kernel_matches_reference_on_catalog_and_non_acaa_examples():
+    examples = [e.algebra for e in all_entries()] + [free_acaa(4).algebra, simple_lie_3(),
+                                                     seven_dim_table()]
+    examples += [commutative_2(), upper_triangular_2x2(), full_matrix_2x2()]
+    examples += [Algebra.from_products(F, d, {}, skew=True) for F in FIELDS for d in (0, 1)]
+    for A in examples:
+        assert fingerprint(A).as_tuple() == reference_fingerprint(A)
+        if check_anticommutative(A) is None:
+            assert check_acaa(A) == reference_check_acaa(A)
+    assert check_acaa(simple_lie_3()) == (0, 0, 1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(skew_algebras(max_dim=4), st.integers(0, 2 ** 32))
+def test_fingerprint_invariant_under_random_change_basis(A, seed):
+    P = random_invertible_over(A.field, A.dim, random.Random(seed))
+    B = change_basis(A, P)
+    assert fingerprint(B) == fingerprint(A)
+    assert (check_acaa(B) is None) == (check_acaa(A) is None)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(skew_algebras(max_dim=4), st.integers(0, 2 ** 32))
+def test_change_basis_matches_fraction_reference_on_random_algebras(A, seed):
+    P = random_invertible_over(A.field, A.dim, random.Random(seed))
+    assert change_basis(A, P) == reference_change_basis(A, P)
+
+
+def test_change_basis_matches_fraction_reference_on_catalog():
+    rng = random.Random(77)
+    for e in all_entries():
+        A = e.algebra
+        for _ in range(3):
+            for P in (random_invertible(Q, A.dim, rng), random_invertible_over(Q, A.dim, rng)):
+                B = change_basis(A, P)
+                assert B == reference_change_basis(A, P), e.name
+                assert B.tensor == reference_change_basis(A, P).tensor
+                # a second change of basis starts from a table with denominators
+                P2 = random_invertible_over(Q, A.dim, rng)
+                assert change_basis(B, P2) == reference_change_basis(B, P2), e.name
+    F5 = PrimeField(5)
+    h3 = Algebra.from_products(F5, 3, {(0, 1): {2: 1}}, skew=True)
+    for _ in range(10):
+        P = random_invertible(F5, 3, rng)
+        assert change_basis(h3, P) == reference_change_basis(h3, P)
+
+
+def test_change_basis_rejects_singular_matrix():
+    h3 = entry("h3").algebra
+    with pytest.raises(ValueError, match="singular"):
+        change_basis(h3, Matrix.build(Q, [[1, 2, 0], [2, 4, 0], [0, 0, 1]]))
+    with pytest.raises(ValueError, match="singular"):
+        change_basis(Algebra.from_products(PrimeField(3), 2, {}, skew=True),
+                     Matrix.build(PrimeField(3), [[1, 2], [2, 1]]))
+
+
+def rank_deficient_int_matrix(rng, nrows, ncols, rank, zero_cols):
+    """An integer nrows x ncols matrix of rank at most `rank`, as a product
+    of random factors, with the columns in zero_cols set to 0."""
+    left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(nrows)]
+    right = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rank)]
+    return [[0 if c in zero_cols else sum(left[r][t] * right[t][c] for t in range(rank))
+             for c in range(ncols)] for r in range(nrows)]
+
+
+@pytest.mark.parametrize("field", (Q, PrimeField(5)), ids=("Q", "F5"))
+def test_int_rank_matches_matrix_rank(field):
+    rng = random.Random(31)
+    p = field.characteristic
+    seen = set()
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 7)
+        rank = rng.randint(0, min(nrows, ncols))
+        zero_cols = {c for c in range(ncols) if rng.random() < 0.25}
+        rows = rank_deficient_int_matrix(rng, nrows, ncols, rank, zero_cols)
+        want = Matrix(field, [[field.from_int(v) for v in row] for row in rows]).rank()
+        assert _int_rank(rows, ncols, p) == want
+        seen.add(want < min(nrows, ncols))
+    assert seen == {True, False}
+
+
+def test_int_reduce_inverts_over_q_and_fp():
+    rng = random.Random(8)
+    for field in (Q, PrimeField(5)):
+        p = field.characteristic
+        for d in range(1, 6):
+            P = random_invertible(field, d, rng)
+            M = [[v.r if p else int(v) for v in row] for row in P.entries]
+            rows, pivots, det = _int_reduce(
+                [row + [int(i == j) for j in range(d)] for i, row in enumerate(M)], d, p)
+            assert pivots == list(range(d))
+            got = [[field.from_int(v) if p else Fraction(v, det) for v in row[d:]]
+                   for row in rows]
+            assert Matrix(field, got) == P.inverse()
+
+
+@KERNEL_SETTINGS
+@given(skew_algebras())
+def test_derived_cube_rows_span_the_fraction_spaces(A):
+    d = A.dim
+    products = [A.tensor[i][j] for i in range(d) for j in range(d)]
+    cubes = [v for u in products if any(u) for k in range(d)
+             for v in (A.multiply_coords(u, A.basis(k).coords),
+                       A.multiply_coords(A.basis(k).coords, u))]
+    derived_rows, cube_rows = derived_cube_rows(A)
+    as_field = [[[A.field.from_int(v) for v in row] for row in rows]
+                for rows in (derived_rows, cube_rows)]
+    assert span(A.field, as_field[0], d) == span(A.field, products, d)
+    assert span(A.field, as_field[1], d) == span(A.field, cubes, d)
+
+
+def test_int_table_is_built_on_first_use_and_scaled():
+    A = Algebra.from_products(Q, 3, {(0, 1): {2: Fraction(1, 2)}, (0, 2): {1: Fraction(2, 3)}},
+                              skew=True)
+    assert A._int is None
+    p, lam, table = A.int_table()
+    assert (p, lam) == (0, 6)
+    assert table[0][1] == ((2, 3),) and table[1][0] == ((2, -3),)
+    assert table[0][2] == ((1, 4),) and table[1][1] == ()
+    assert A.int_table() is A.int_table()
+    F5 = PrimeField(5)
+    B = Algebra.from_products(F5, 2, {(0, 1): {0: 3}}, skew=True)
+    assert B.int_table() == (5, 1, (((), ((0, 3),)), (((0, 2),), ())))

@@ -214,6 +214,17 @@ def test_cli_import_does_not_load_numpy():
                    env=src_env(), check=True)
 
 
+@pytest.mark.parametrize("argv", (["fingerprint", "free3"], ["check", "--identity", "acaa", "h5"],
+                                  ["recognize", "L5"]), ids=("fingerprint", "check", "recognize"))
+def test_algebra_commands_run_without_numpy(argv):
+    # the integer kernel behind check_acaa, fingerprint and change_basis is
+    # pure Python; only the exhaustive searches load numpy
+    code = ("import sys; from acaa.cli import main; code = main(sys.argv[1:]); "
+            "assert 'numpy' not in sys.modules; sys.exit(code)")
+    subprocess.run([sys.executable, "-c", code] + argv, env=src_env(), check=True,
+                   capture_output=True)
+
+
 def test_large_prime_field_file_finishes(tmp_path):
     # primality of p is decided by Miller-Rabin, not trial division to sqrt(p)
     path = tmp_path / "big.json"
