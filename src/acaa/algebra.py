@@ -4,7 +4,9 @@ An algebra is a tensor c[i][j][k] with e_i * e_j = sum_k c[i][j][k] e_k.
 This module holds product evaluation, polarization, the identity checkers
 (anticommutativity, the cyclic triple-bracket law, Jacobi, the general
 12-term quadratic family, rho-associativity, admissibility) and the
-isomorphism-invariant fingerprint.
+isomorphism-invariant fingerprint, all on the integer view
+``Algebra.int_table``; the quadratic laws are presets of one basis-triple
+scan, ``check_quadratic_identity``.
 
 Checkers return None when the identity holds, otherwise the first
 violating tuple of basis indices in lexicographic order.
@@ -12,9 +14,8 @@ violating tuple of basis indices in lexicographic order.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .linalg import Matrix
+from .linalg import Matrix, _int_rank, _int_reduce, _int_scale
 
 # Order of the twelve degree-3 monomials in the general quadratic identity:
 # first the left-bracketed products (x_a x_b) x_c, then the right-bracketed
@@ -32,67 +33,13 @@ def perm_sign(seq) -> int:
     return -1 if inv % 2 else 1
 
 
-def _int_scale(field, values):
-    """(lam, to_int) with to_int(x) = lam * x as an int and lam the lcm of
-    the denominators of values over Q; over F_p lam = 1 and to_int(x) is
-    the residue of x."""
-    if field.characteristic:
-        return 1, lambda x: x.r
-    lam = lcm(*(x.denominator for x in values))
-    return lam, lambda x: x.numerator * (lam // x.denominator)
-
-
-def _int_reduce(rows, ncols, p):
-    """Gauss-Jordan elimination of integer rows: (rows, pivots, det).
-
-    With p > 0 it works mod p and leaves the reduced echelon form (every
-    pivot 1, so det = 1).  With p = 0 it is Bareiss's fraction-free elimination (Math. Comp. 22,
-    1968) in its Gauss-Jordan form: each step maps every other row to
-    (a * row - b * pivot row) // prev, with a the new pivot, b the row's
-    entry in the pivot column and prev the previous pivot.  Every entry is
-    then a minor of the input, so each division is exact; every pivot row
-    ends with det, the last pivot, in its pivot column.  Zero rows are
-    dropped; pivots are the pivot columns.
-    """
-    rows = [row for row in ([v % p for v in r] if p else list(r) for r in rows) if any(row)]
-    pivots = []
-    prev = 1
-    for c in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        top = rows[r]
-        if p:
-            inv = pow(top[c], -1, p)
-            top = rows[r] = [x * inv % p for x in top]
-        a = top[c]
-        for i, row in enumerate(rows):
-            b = row[c]
-            if i == r or (p and not b):
-                continue
-            if p:
-                rows[i] = [(x - b * y) % p for x, y in zip(row, top)]
-            else:
-                rows[i] = [(a * x - b * y) // prev for x, y in zip(row, top)]
-        prev = a
-        pivots.append(c)
-        rows[r + 1:] = [row for row in rows[r + 1:] if any(row)]
-    return rows, pivots, prev
-
-
-def _int_rank(rows, ncols, p):
-    """Rank of integer rows over Q (p = 0) or over F_p."""
-    return len(_int_reduce(rows, ncols, p)[1])
-
-
-def _mul_into(acc, plane, vec):
-    """acc += sum of c * plane[m] over the pairs (m, c) of a sparse vector,
-    plane being sparse integer rows; returns acc.  With plane = table[i]
-    (see ``Algebra.int_table``) this adds e_i * vec, with
-    plane = [table[m][k] for m] it adds vec * e_k."""
+def _mul_into(acc, plane, vec, w=1):
+    """acc += w * sum of c * plane[m] over the pairs (m, c) of a sparse
+    vector, plane being sparse integer rows; returns acc.  With
+    plane = table[i] (see ``Algebra.int_table``) this adds w e_i * vec, with
+    plane = [table[m][k] for m] it adds w vec * e_k."""
     for m, c in vec:
+        c *= w
         for n, c2 in plane[m]:
             acc[n] += c * c2
     return acc
@@ -308,7 +255,8 @@ class QuadIdentityCoeffs:
     """Coefficients (a_1..a_6, b_1..b_6) of the 12-term quadratic identity.
 
     a_i weight the left-bracketed monomials (x_a x_b) x_c and b_i the
-    right-bracketed x_a (x_b x_c), both in TRIPLE_PERMS order.
+    right-bracketed x_a (x_b x_c), both in TRIPLE_PERMS order.  Entries are
+    field elements or ints.
     """
 
     a: tuple
@@ -353,56 +301,72 @@ def quadratic_identity_value(A: Algebra, coeffs: QuadIdentityCoeffs, x, y, z) ->
 
 
 def check_anticommutative(A: Algebra):
-    """None, or the first basis pair (i, j) violating x*y = -y*x."""
+    """None, or the first basis pair (i, j) violating x*y = -y*x, read from
+    ``Algebra.int_table`` (the law is homogeneous in c).  A pair fails in
+    both orders, so only j >= i is scanned; the first witness is the same."""
+    p, _, t = A.int_table()
     for i in range(A.dim):
-        for j in range(A.dim):
-            if i == j:
-                if any(A.tensor[i][i]):
-                    return (i, i)
-            elif any(a + b for a, b in zip(A.tensor[i][j], A.tensor[j][i])):
+        if t[i][i]:
+            return (i, i)
+        for j in range(i + 1, A.dim):
+            if t[i][j] != tuple((k, -c % p if p else -c) for k, c in t[j][i]):
                 return (i, j)
     return None
+
+
+def _quad_test(A: Algebra, coeffs: QuadIdentityCoeffs):
+    """The test (i, j, k) -> True where the 12-term sum is nonzero at
+    (e_i, e_j, e_k), on ``Algebra.int_table`` with the coefficients scaled
+    to integers in the same way (the sum is linear in them and homogeneous
+    of degree 2 in c).  Each nonzero coefficient is one ``_mul_into``.
+    """
+    vals = [A.field.coerce(v) for v in coeffs.a + coeffs.b]
+    to_int = _int_scale(A.field, vals)[1]
+    p, _, t = A.int_table()
+    d = A.dim
+    cols = [[t[m][k] for m in range(d)] for k in range(d)]
+    # a term (w, planes, m, a, b) adds w x_m (x_a x_b) through the rows t,
+    # or w (x_a x_b) x_m through cols
+    terms = [(w, cols, c - 1, a - 1, b - 1) if n < 6 else (w, t, a - 1, b - 1, c - 1)
+             for n, ((a, b, c), w) in enumerate(zip(TRIPLE_PERMS * 2, map(to_int, vals))) if w]
+
+    def nonzero(*xs):
+        acc = [0] * d
+        for w, planes, m, a, b in terms:
+            _mul_into(acc, planes[xs[m]], t[xs[a]][xs[b]], w)
+        return any(v % p for v in acc) if p else any(acc)
+    return nonzero
+
+
+def check_quadratic_identity(A: Algebra, coeffs: QuadIdentityCoeffs):
+    """None, or the first basis triple where the 12-term sum is nonzero.
+
+    Multilinearity makes checking on basis triples sufficient.  The other
+    quadratic laws are presets of this scan.
+    """
+    nonzero = _quad_test(A, coeffs)
+    r = range(A.dim)
+    return next(((i, j, k) for i in r for j in r for k in r if nonzero(i, j, k)), None)
 
 
 def check_acaa(A: Algebra):
     """None, or the first triple (i, j, k) violating the linearized law
     [e_i, [e_j, e_k]] + [e_k, [e_j, e_i]] = 0.
 
-    Requires an anticommutative algebra over a field of characteristic
-    different from 2; under those hypotheses the linearized law is
-    equivalent to [x, [y, x]] = 0 for all elements.  The check runs on
-    ``Algebra.int_table``.
+    Requires an anticommutative algebra (a ``"skew"`` one was checked when
+    built) over a field of characteristic different from 2; under those
+    hypotheses the linearized law is equivalent to [x, [y, x]] = 0 for all
+    elements.  It is x1 (x2 x3) + x3 (x2 x1), the right-bracketed (1, 2, 3)
+    and (3, 2, 1) of TRIPLE_PERMS: a = 0, b = (1, 0, 1, 0, 0, 0).  It is
+    homogeneous in c, so the scaled ``Algebra.int_table`` gives the same
+    verdicts.
     """
     if A.field.characteristic == 2:
         raise ValueError("the linearized check is not valid in characteristic 2")
-    w = check_anticommutative(A)
+    w = None if A.symmetry == "skew" else check_anticommutative(A)
     if w is not None:
         raise ValueError(f"precondition failed: not anticommutative at basis pair {w}")
-    p, _, t = A.int_table()
-    d = A.dim
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                acc = _mul_into([0] * d, t[i], t[j][k])
-                _mul_into(acc, t[k], t[j][i])
-                if any(v % p for v in acc) if p else any(acc):
-                    return (i, j, k)
-    return None
-
-
-def check_quadratic_identity(A: Algebra, coeffs: QuadIdentityCoeffs):
-    """None, or the first basis triple where the 12-term sum is nonzero.
-
-    Multilinearity makes checking on basis triples sufficient.
-    """
-    for i in range(A.dim):
-        ei = A.basis(i)
-        for j in range(A.dim):
-            ej = A.basis(j)
-            for k in range(A.dim):
-                if quadratic_identity_value(A, coeffs, ei, ej, A.basis(k)):
-                    return (i, j, k)
-    return None
+    return check_quadratic_identity(A, QuadIdentityCoeffs((0,) * 6, (1, 0, 1, 0, 0, 0)))
 
 
 def polarize(A: Algebra):
@@ -435,15 +399,15 @@ def rho(B: Algebra, x: Element, y: Element, z: Element) -> Element:
 
 
 def check_rho_associative(B: Algebra):
-    """None, or the first basis triple with (e_i e_j) e_k != e_k (e_i e_j)."""
-    for i in range(B.dim):
-        ei = B.basis(i)
-        for j in range(B.dim):
-            ej = B.basis(j)
-            for k in range(B.dim):
-                if rho(B, ei, ej, B.basis(k)):
-                    return (i, j, k)
-    return None
+    """None, or the first basis triple with (e_i e_j) e_k != e_k (e_i e_j).
+
+    rho(x1, x2, x3) = (x1 x2) x3 - x3 (x1 x2) is the left-bracketed monomial
+    (1, 2, 3) of TRIPLE_PERMS minus the right-bracketed (3, 1, 2):
+    a = (1, 0, 0, 0, 0, 0), b = (0, 0, 0, 0, 0, -1).  It is homogeneous in
+    c, so the scaled ``Algebra.int_table`` gives the same verdicts.
+    """
+    return check_quadratic_identity(B, QuadIdentityCoeffs((1, 0, 0, 0, 0, 0),
+                                                          (0, 0, 0, 0, 0, -1)))
 
 
 def check_acaa_admissible(B: Algebra):
@@ -452,19 +416,15 @@ def check_acaa_admissible(B: Algebra):
     rho(x,y,z) - rho(y,x,z) + rho(x,z,y) - rho(z,x,y) = 0,
 
     which holds for all triples exactly when the commutator bracket of B
-    satisfies the cyclic triple-bracket law.
+    satisfies the cyclic triple-bracket law.  With (x, y, z) = (x1, x2, x3)
+    the four rho terms contribute the left-bracketed monomials +(1, 2, 3),
+    -(2, 1, 3), +(1, 3, 2), -(3, 1, 2) and the right-bracketed -(3, 1, 2),
+    +(3, 2, 1), -(2, 1, 3), +(2, 3, 1); in TRIPLE_PERMS order that is
+    a = (1, -1, 0, 1, 0, -1), b = (0, -1, 1, 0, 1, -1).  It is homogeneous in
+    c, so the scaled ``Algebra.int_table`` gives the same verdicts.
     """
-    for i in range(B.dim):
-        ei = B.basis(i)
-        for j in range(B.dim):
-            ej = B.basis(j)
-            for k in range(B.dim):
-                ek = B.basis(k)
-                v = (rho(B, ei, ej, ek) - rho(B, ej, ei, ek)
-                     + rho(B, ei, ek, ej) - rho(B, ek, ei, ej))
-                if v:
-                    return (i, j, k)
-    return None
+    return check_quadratic_identity(B, QuadIdentityCoeffs((1, -1, 0, 1, 0, -1),
+                                                          (0, -1, 1, 0, 1, -1)))
 
 
 @dataclass(frozen=True)

@@ -87,8 +87,7 @@ def cmd_check(args) -> CommandReport:
         parts = args.coeffs.split(",")
         if len(parts) != 12:
             raise CliError("--coeffs needs exactly 12 comma-separated values")
-        vals = [A.field.coerce(p.strip()) for p in parts]
-        coeffs = QuadIdentityCoeffs(tuple(vals[:6]), tuple(vals[6:]))
+        coeffs = QuadIdentityCoeffs.build(A.field, parts[:6], parts[6:])
         witness = check_quadratic_identity(A, coeffs)
     elif identity == "anticommutative":
         witness = check_anticommutative(A)
@@ -145,8 +144,7 @@ def cmd_enumerate(args) -> CommandReport:
 
 def cmd_ad(args) -> CommandReport:
     A = _load_algebra_arg(args.algebra)
-    coords = [A.field.coerce(p.strip()) for p in args.element.split(",")]
-    m = ad_matrix(A, coords)
+    m = ad_matrix(A, args.element.split(","))
     rank, kernel = rank_kernel(m)
     return CommandReport("ad", "value",
                          payload={"matrix": matrix_to_json(m), "rank": rank,

@@ -41,7 +41,9 @@ def is_prime(n: int) -> bool:
 
 
 class FpElement:
-    """A residue in [0, p).  Mixing moduli is an error, never a coercion."""
+    """A residue in [0, p).  Mixing moduli is an error, never a coercion; an
+    operand that is not an FpElement gets NotImplemented, so that its own
+    reflected method runs (an Element scales itself)."""
 
     __slots__ = ("p", "r")
 
@@ -50,20 +52,28 @@ class FpElement:
         self.r = r % p
 
     def _same_field(self, other):
-        if not isinstance(other, FpElement) or other.p != self.p:
+        if other.p != self.p:
             raise ValueError(f"cannot combine F_{self.p} value with {other!r}")
         return other
 
     def __add__(self, other):
+        if not isinstance(other, FpElement):
+            return NotImplemented
         return FpElement(self.p, self.r + self._same_field(other).r)
 
     def __sub__(self, other):
+        if not isinstance(other, FpElement):
+            return NotImplemented
         return FpElement(self.p, self.r - self._same_field(other).r)
 
     def __mul__(self, other):
+        if not isinstance(other, FpElement):
+            return NotImplemented
         return FpElement(self.p, self.r * self._same_field(other).r)
 
     def __truediv__(self, other):
+        if not isinstance(other, FpElement):
+            return NotImplemented
         self._same_field(other)
         if other.r == 0:
             raise ZeroDivisionError(f"division by zero in F_{self.p}")
@@ -103,10 +113,8 @@ class RationalField:
     def coerce(self, v) -> Fraction:
         if isinstance(v, Fraction):
             return v
-        if isinstance(v, int):
-            return Fraction(v)
-        if isinstance(v, str):
-            return Fraction(v)
+        if isinstance(v, (int, str)):
+            return self.parse(v)
         raise ValueError(f"cannot coerce {v!r} into Q")
 
     def parse(self, v) -> Fraction:
@@ -155,9 +163,7 @@ class PrimeField:
             if v.p != self.p:
                 raise ValueError(f"value from F_{v.p} used in F_{self.p}")
             return v
-        if isinstance(v, int):
-            return FpElement(self.p, v)
-        if isinstance(v, str):
+        if isinstance(v, (int, str)):
             return FpElement(self.p, int(v))
         raise ValueError(f"cannot coerce {v!r} into F_{self.p}")
 

@@ -1,39 +1,86 @@
 """Dense exact matrices, reduced echelon forms and canonical subspaces.
 
-All arithmetic goes through field elements (`Fraction` or `FpElement`), so
-rank, kernel and span computations are exact over Q and over F_p.  A
-subspace is always stored through its reduced row-echelon basis, which
-makes subspace equality a syntactic comparison.
+Entries are field elements (`Fraction` or `FpElement`).  Elimination has
+one routine, ``_int_reduce``, on rows scaled to Python ints (Bareiss over
+Q, residues mod p over F_p), so rank, kernel and span computations are
+exact.  A subspace is always stored through its reduced row-echelon
+basis, which makes subspace equality a syntactic comparison.
 """
+
+from fractions import Fraction
+from math import lcm
+
+
+def _int_scale(field, values):
+    """(lam, to_int) with to_int(x) = lam * x as an int and lam the lcm of
+    the denominators of values over Q; over F_p lam = 1 and to_int(x) is
+    the residue of x."""
+    if field.characteristic:
+        return 1, lambda x: x.r
+    lam = lcm(*(x.denominator for x in values))
+    return lam, lambda x: x.numerator * (lam // x.denominator)
+
+
+def _int_reduce(rows, ncols, p):
+    """Gauss-Jordan elimination of integer rows: (rows, pivots, det).
+
+    With p > 0 it works mod p and leaves the reduced echelon form (every
+    pivot 1, so det = 1).  With p = 0 it is Bareiss's fraction-free elimination (Math. Comp. 22,
+    1968) in its Gauss-Jordan form: each step maps every other row to
+    (a * row - b * pivot row) // prev, with a the new pivot, b the row's
+    entry in the pivot column and prev the previous pivot.  Every entry is
+    then a minor of the input, so each division is exact; every pivot row
+    ends with det, the last pivot, in its pivot column.  Zero rows are
+    dropped; pivots are the pivot columns.
+    """
+    rows = [row for row in ([v % p for v in r] if p else list(r) for r in rows) if any(row)]
+    pivots = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top = rows[r]
+        if p:
+            inv = pow(top[c], -1, p)
+            top = rows[r] = [x * inv % p for x in top]
+        a = top[c]
+        for i, row in enumerate(rows):
+            b = row[c]
+            if i == r or (p and not b):
+                continue
+            if p:
+                rows[i] = [(x - b * y) % p for x, y in zip(row, top)]
+            else:
+                rows[i] = [(a * x - b * y) // prev for x, y in zip(row, top)]
+        prev = a
+        pivots.append(c)
+        rows[r + 1:] = [row for row in rows[r + 1:] if any(row)]
+    return rows, pivots, prev
+
+
+def _int_rank(rows, ncols, p):
+    """Rank of integer rows over Q (p = 0) or over F_p."""
+    return len(_int_reduce(rows, ncols, p)[1])
 
 
 def _rref(field, rows):
-    """Reduced row echelon form of a list of row lists.  Returns (rows, pivots)."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.one / rows[r][c]
-        rows[r] = [inv * v for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+    """Reduced row echelon form of a list of row lists.  Returns (rows, pivots).
+
+    The rows are scaled to integers and reduced by ``_int_reduce``; over Q
+    the pivot rows are then divided by det, their common pivot value.  The
+    zero rows come back at the bottom.
+    """
+    p = field.characteristic
+    ncols = len(rows[0]) if rows else 0
+    to_int = _int_scale(field, [x for row in rows for x in row])[1]
+    out, pivots, det = _int_reduce([[to_int(x) for x in row] for row in rows], ncols, p)
+    make = field.from_int if p else (lambda n: Fraction(n, det))
+    zero = field.zero
+    out = [[make(x) if x else zero for x in row] for row in out]
+    return out + [[zero] * ncols for _ in range(len(rows) - len(out))], pivots
 
 
 class Matrix:
@@ -198,15 +245,7 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, vec) -> bool:
-        if len(vec) != self.ambient_dim:
-            raise ValueError("vector length differs from ambient dimension")
-        v = list(vec)
-        for row in self.basis:
-            lead = next(i for i, x in enumerate(row) if x)
-            if v[lead]:
-                f = v[lead]
-                v = [a - f * b for a, b in zip(v, row)]
-        return not any(v)
+        return span(self.field, self.basis + (tuple(vec),), self.ambient_dim).dim == self.dim
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and other.field == self.field

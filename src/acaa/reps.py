@@ -12,7 +12,7 @@ pair, so no faithful triple of images exists for the 3-dimensional
 Heisenberg algebra at that matrix size.
 """
 
-from .algebra import Algebra, Element, check_acaa
+from .algebra import Algebra, Element, QuadIdentityCoeffs, _quad_test, check_acaa
 from .catalog import _chunked, _decode
 from .linalg import Matrix
 
@@ -22,24 +22,10 @@ def ad_matrix(A: Algebra, x) -> Matrix:
 
     The algebra is expected to be anticommutative.
     """
-    if isinstance(x, Element):
-        if x.algebra is not A:
-            raise ValueError("element does not belong to the algebra")
-        coords = x.coords
-    else:
-        coords = tuple(A.field.coerce(v) for v in x)
-        if len(coords) != A.dim:
-            raise ValueError("coordinate count does not match dimension")
-    zero = A.field.zero
-    cols = []
-    for j in range(A.dim):
-        acc = [zero] * A.dim
-        for i, xi in enumerate(coords):
-            if not xi:
-                continue
-            for k, c in A.nonzero(i, j):
-                acc[k] = acc[k] + xi * c
-        cols.append(acc)
+    if isinstance(x, Element) and x.algebra is not A:
+        raise ValueError("element does not belong to the algebra")
+    coords = (x if isinstance(x, Element) else A.element(x)).coords
+    cols = [A.multiply_coords(coords, A.basis(j).coords) for j in range(A.dim)]
     return Matrix(A.field, list(zip(*cols)))
 
 
@@ -84,23 +70,27 @@ def check_ad_identities(A: Algebra):
     Checks, in order: (ad e_i)^2 = 0; ad e_i ad e_j + ad e_j ad e_i = 0;
     2 ad[e_i, e_j] + ad e_i ad e_j - ad e_j ad e_i = 0.  Returns None or a
     (law, indices) witness.  Requires the triple-bracket law.
+
+    An operator law holds when it holds on every e_k, so each law is a
+    12-term sum at (e_i, e_j, e_k), scanned over k: x1 (x2 x3) with j = i, then
+    x1 (x2 x3) + x2 (x1 x3), then 2 (x1 x2) x3 + x1 (x2 x3) - x2 (x1 x3).
     """
     w = check_acaa(A)
     if w is not None:
         raise ValueError(f"precondition failed: triple-bracket law fails at {w}")
-    ads = [ad_matrix(A, A.basis(i)) for i in range(A.dim)]
-    two = A.field.from_int(2)
-    for i in range(A.dim):
-        if not (ads[i] * ads[i]).is_zero():
+    square, anti, double = (_quad_test(A, QuadIdentityCoeffs(a, b)) for a, b in (
+        ((0,) * 6, (1, 0, 0, 0, 0, 0)),
+        ((0,) * 6, (1, 1, 0, 0, 0, 0)),
+        ((2, 0, 0, 0, 0, 0), (1, -1, 0, 0, 0, 0))))
+    r = range(A.dim)
+    for i in r:
+        if any(square(i, i, k) for k in r):
             return ("square", (i,))
-    for i in range(A.dim):
-        for j in range(A.dim):
-            ij = ads[i] * ads[j]
-            ji = ads[j] * ads[i]
-            if not (ij + ji).is_zero():
+    for i in r:
+        for j in r:
+            if any(anti(i, j, k) for k in r):
                 return ("anticommutation", (i, j))
-            ad_bracket = ad_matrix(A, A.element(A.product(i, j)))
-            if not (ad_bracket.scale(two) + ij - ji).is_zero():
+            if any(double(i, j, k) for k in r):
                 return ("double-bracket", (i, j))
     return None
 

@@ -1,9 +1,15 @@
-"""Shared algebra builders for the test suite."""
+"""Shared algebra builders and hypothesis strategies for the test suite."""
+
+import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from acaa.algebra import Algebra
-from acaa.fields import Q
+from acaa.fields import PrimeField, Q
+from acaa.linalg import Matrix
 
 
 def upper_triangular_2x2() -> Algebra:
@@ -67,3 +73,87 @@ def ut2():
 @pytest.fixture
 def gl2():
     return full_matrix_2x2()
+
+
+# --- random tables for the equal-witness tests -------------------------------
+
+def reference_change_basis(A, P):
+    """The former field-element change of basis, kept as a test oracle."""
+    pinv = P.inverse()
+    d = A.dim
+    cols = [tuple(P.entries[i][a] for i in range(d)) for a in range(d)]
+    tensor = [[list(pinv.apply(A.multiply_coords(cols[a], cols[b]))) for b in range(d)]
+              for a in range(d)]
+    return Algebra(A.field, d, tensor, symmetry=A.symmetry)
+
+
+FIELDS = (Q, PrimeField(3), PrimeField(5))
+
+
+def scalar(field, draw_int, den):
+    """A field element from an integer and a positive denominator (the
+    denominator is ignored over F_p)."""
+    if field == Q:
+        return Fraction(draw_int, den)
+    return field.from_int(draw_int)
+
+
+@st.composite
+def skew_algebras(draw, max_dim=5):
+    """Random anticommutative algebras over Q (fractional entries), F_3 and
+    F_5, of three kinds: 2-step nilpotent ones (the first s basis vectors
+    bracket into the span of the others, which is central), so satisfying
+    the cyclic law, seen in a random basis; the same with one product
+    perturbed, which moves the first witness away from the start; and
+    plain random tables, which mostly fail early."""
+    field = draw(st.sampled_from(FIELDS))
+    d = draw(st.integers(2, max_dim))
+    kind = draw(st.sampled_from(("two-step", "perturbed", "random")))
+    density = draw(st.sampled_from((0.2, 0.5, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    s = d if kind == "random" else rng.randint(1, d - 1)
+    targets = range(d) if kind == "random" else range(s, d)
+    products = {}
+    for i in range(s):
+        for j in range(i + 1, s):
+            products[(i, j)] = {k: scalar(field, rng.randint(-4, 4), rng.randint(1, 6))
+                                for k in targets if rng.random() < density}
+    A = Algebra.from_products(field, d, products, skew=True)
+    if kind == "random":
+        return A
+    A = reference_change_basis(A, random_invertible_over(field, d, rng))
+    if kind == "perturbed":
+        t = [[list(row) for row in plane] for plane in A.tensor]
+        i, j = sorted(rng.sample(range(d), 2))
+        k = rng.randrange(d)
+        x = scalar(field, rng.choice((-1, 1)), rng.randint(1, 3))
+        t[i][j][k], t[j][i][k] = t[i][j][k] + x, t[j][i][k] - x
+        A = Algebra(field, d, t, symmetry="skew")
+    return A
+
+
+@st.composite
+def plain_algebras(draw, max_dim=4):
+    """Random algebras without symmetry over Q, F_3 and F_5."""
+    field = draw(st.sampled_from(FIELDS))
+    d = draw(st.integers(1, max_dim))
+    density = draw(st.sampled_from((0.1, 0.3, 0.7)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    zero = field.zero
+    tensor = [[[scalar(field, rng.randint(-3, 3), rng.randint(1, 4))
+                if rng.random() < density else zero for _ in range(d)]
+               for _ in range(d)] for _ in range(d)]
+    return Algebra(field, d, tensor)
+
+
+def random_invertible_over(field, d, rng):
+    """A random invertible matrix with entries like those of
+    ``random_invertible``, fractional over Q."""
+    while True:
+        P = Matrix(field, [[scalar(field, rng.randint(-3, 3), rng.randint(1, 3))
+                            for _ in range(d)] for _ in range(d)])
+        if P.rank() == d:
+            return P
+
+
+KERNEL_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)

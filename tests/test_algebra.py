@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acaa.algebra import (Algebra, _int_rank, _int_reduce, acaa_coeffs,
+from acaa.algebra import (Algebra, QuadIdentityCoeffs, acaa_coeffs,
                           antiassociativity_coeffs, change_basis, check_acaa,
                           check_acaa_admissible, check_anticommutative,
                           check_quadratic_identity, check_rho_associative,
@@ -15,10 +15,12 @@ from acaa.algebra import (Algebra, _int_rank, _int_reduce, acaa_coeffs,
 from acaa.catalog import all_entries, entry
 from acaa.fields import PrimeField, Q
 from acaa.free import free_acaa
-from acaa.linalg import Matrix, random_invertible, span
+from acaa.linalg import Matrix, _int_rank, _int_reduce, random_invertible, span
 
-from conftest import (commutative_2, full_matrix_2x2, seven_dim_table,
-                      simple_lie_3, upper_triangular_2x2)
+from conftest import (FIELDS, KERNEL_SETTINGS, commutative_2, full_matrix_2x2,
+                      plain_algebras, random_invertible_over, reference_change_basis,
+                      scalar, seven_dim_table, simple_lie_3, skew_algebras,
+                      upper_triangular_2x2)
 
 
 def test_h3_products():
@@ -292,7 +294,8 @@ def test_random_element_seeded():
 # --- the integer kernel against the Fraction loops it replaced ---------------
 #
 # The references below are the former field-element implementations of
-# check_acaa, fingerprint and change_basis, kept here only as test oracles.
+# check_acaa, fingerprint and change_basis (in conftest.py), kept here only
+# as test oracles.
 
 def reference_check_acaa(A):
     zero = A.field.zero
@@ -330,87 +333,6 @@ def reference_fingerprint(A):
             rows.append([A.tensor[j][i][k] for i in range(d)])
     ann = d - Matrix(A.field, rows).rank() if rows else d
     return (d, span(A.field, products, d).dim, ann, span(A.field, cubes, d).dim)
-
-
-def reference_change_basis(A, P):
-    pinv = P.inverse()
-    d = A.dim
-    cols = [tuple(P.entries[i][a] for i in range(d)) for a in range(d)]
-    tensor = [[list(pinv.apply(A.multiply_coords(cols[a], cols[b]))) for b in range(d)]
-              for a in range(d)]
-    return Algebra(A.field, d, tensor, symmetry=A.symmetry)
-
-
-FIELDS = (Q, PrimeField(3), PrimeField(5))
-
-
-def scalar(field, draw_int, den):
-    """A field element from an integer and a positive denominator (the
-    denominator is ignored over F_p)."""
-    if field == Q:
-        return Fraction(draw_int, den)
-    return field.from_int(draw_int)
-
-
-@st.composite
-def skew_algebras(draw, max_dim=5):
-    """Random anticommutative algebras over Q (fractional entries), F_3 and
-    F_5, of three kinds: 2-step nilpotent ones (the first s basis vectors
-    bracket into the span of the others, which is central), so satisfying
-    the cyclic law, seen in a random basis; the same with one product
-    perturbed, which moves the first witness away from the start; and
-    plain random tables, which mostly fail early."""
-    field = draw(st.sampled_from(FIELDS))
-    d = draw(st.integers(2, max_dim))
-    kind = draw(st.sampled_from(("two-step", "perturbed", "random")))
-    density = draw(st.sampled_from((0.2, 0.5, 1.0)))
-    rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    s = d if kind == "random" else rng.randint(1, d - 1)
-    targets = range(d) if kind == "random" else range(s, d)
-    products = {}
-    for i in range(s):
-        for j in range(i + 1, s):
-            products[(i, j)] = {k: scalar(field, rng.randint(-4, 4), rng.randint(1, 6))
-                                for k in targets if rng.random() < density}
-    A = Algebra.from_products(field, d, products, skew=True)
-    if kind == "random":
-        return A
-    A = reference_change_basis(A, random_invertible_over(field, d, rng))
-    if kind == "perturbed":
-        t = [[list(row) for row in plane] for plane in A.tensor]
-        i, j = sorted(rng.sample(range(d), 2))
-        k = rng.randrange(d)
-        x = scalar(field, rng.choice((-1, 1)), rng.randint(1, 3))
-        t[i][j][k], t[j][i][k] = t[i][j][k] + x, t[j][i][k] - x
-        A = Algebra(field, d, t, symmetry="skew")
-    return A
-
-
-@st.composite
-def plain_algebras(draw, max_dim=4):
-    """Random algebras without symmetry over Q, F_3 and F_5."""
-    field = draw(st.sampled_from(FIELDS))
-    d = draw(st.integers(1, max_dim))
-    density = draw(st.sampled_from((0.1, 0.3, 0.7)))
-    rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    zero = field.zero
-    tensor = [[[scalar(field, rng.randint(-3, 3), rng.randint(1, 4))
-                if rng.random() < density else zero for _ in range(d)]
-               for _ in range(d)] for _ in range(d)]
-    return Algebra(field, d, tensor)
-
-
-def random_invertible_over(field, d, rng):
-    """A random invertible matrix with entries like those of
-    ``random_invertible``, fractional over Q."""
-    while True:
-        P = Matrix(field, [[scalar(field, rng.randint(-3, 3), rng.randint(1, 3))
-                            for _ in range(d)] for _ in range(d)])
-        if P.rank() == d:
-            return P
-
-
-KERNEL_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 @KERNEL_SETTINGS
@@ -545,7 +467,11 @@ def test_derived_cube_rows_span_the_fraction_spaces(A):
 def test_int_table_is_built_on_first_use_and_scaled():
     A = Algebra.from_products(Q, 3, {(0, 1): {2: Fraction(1, 2)}, (0, 2): {1: Fraction(2, 3)}},
                               skew=True)
-    assert A._int is None
+    # without the skew hint nothing reads the table at construction; with
+    # it, the anticommutativity check at construction is the first use
+    plain = Algebra(Q, 3, A.tensor)
+    assert plain._int is None and A._int is not None
+    assert plain.int_table() == A.int_table()
     p, lam, table = A.int_table()
     assert (p, lam) == (0, 6)
     assert table[0][1] == ((2, 3),) and table[1][0] == ((2, -3),)
@@ -554,3 +480,121 @@ def test_int_table_is_built_on_first_use_and_scaled():
     F5 = PrimeField(5)
     B = Algebra.from_products(F5, 2, {(0, 1): {0: 3}}, skew=True)
     assert B.int_table() == (5, 1, (((), ((0, 3),)), (((0, 2),), ())))
+
+
+# --- the one triple scan against the Element loops it replaced ----------------
+#
+# The references below are the former Element-level implementations of
+# check_anticommutative, check_quadratic_identity, check_rho_associative and
+# check_acaa_admissible, kept here only as test oracles.
+
+def reference_check_anticommutative(A):
+    for i in range(A.dim):
+        for j in range(A.dim):
+            if i == j:
+                if any(A.tensor[i][i]):
+                    return (i, i)
+            elif any(a + b for a, b in zip(A.tensor[i][j], A.tensor[j][i])):
+                return (i, j)
+    return None
+
+
+def reference_triple_scan(A, value):
+    for i in range(A.dim):
+        for j in range(A.dim):
+            for k in range(A.dim):
+                if value(A.basis(i), A.basis(j), A.basis(k)):
+                    return (i, j, k)
+    return None
+
+
+def reference_check_quadratic_identity(A, coeffs):
+    return reference_triple_scan(
+        A, lambda x, y, z: quadratic_identity_value(A, coeffs, x, y, z))
+
+
+def reference_check_rho_associative(B):
+    return reference_triple_scan(B, lambda x, y, z: rho(B, x, y, z))
+
+
+def reference_check_acaa_admissible(B):
+    return reference_triple_scan(B, lambda x, y, z: rho(B, x, y, z) - rho(B, y, x, z)
+                                 + rho(B, x, z, y) - rho(B, z, x, y))
+
+
+@st.composite
+def quad_coeffs(draw, field):
+    """Twelve coefficients, each zero with probability 1/2, fractional over Q."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return QuadIdentityCoeffs.build(field, *(
+        [scalar(field, rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.5 else 0
+         for _ in range(6)] for _ in range(2)))
+
+
+@st.composite
+def algebras_and_coeffs(draw):
+    """An ACAA, non-ACAA or plain table (dimension at most 4) with random
+    coefficients over its field, or one of the named identities."""
+    A = draw(st.one_of(skew_algebras(max_dim=4), plain_algebras()))
+    coeffs = draw(st.one_of(quad_coeffs(A.field), st.sampled_from(
+        (jacobi_coeffs, acaa_coeffs, antiassociativity_coeffs)).map(lambda f: f(A.field))))
+    return A, coeffs
+
+
+@KERNEL_SETTINGS
+@given(algebras_and_coeffs())
+def test_quadratic_identity_witness_matches_element_reference(A_coeffs):
+    A, coeffs = A_coeffs
+    assert check_quadratic_identity(A, coeffs) == reference_check_quadratic_identity(A, coeffs)
+
+
+@KERNEL_SETTINGS
+@given(st.one_of(skew_algebras(max_dim=4), plain_algebras()))
+def test_rho_and_admissibility_witnesses_match_element_reference(B):
+    assert check_rho_associative(B) == reference_check_rho_associative(B)
+    assert check_acaa_admissible(B) == reference_check_acaa_admissible(B)
+
+
+@KERNEL_SETTINGS
+@given(skew_algebras(), st.integers(0, 2 ** 32))
+def test_anticommutative_witness_matches_fraction_reference(A, seed):
+    # the table without its skew hint, then with one constant moved off skew
+    plain = Algebra(A.field, A.dim, A.tensor)
+    assert check_anticommutative(plain) is None
+    assert check_acaa(plain) == check_acaa(A) == reference_check_acaa(A)
+    rng = random.Random(seed)
+    t = [[list(row) for row in plane] for plane in A.tensor]
+    i, j, k = (rng.randrange(A.dim) for _ in range(3))
+    t[i][j][k] += scalar(A.field, rng.choice((-1, 1)), rng.randint(1, 3))
+    B = Algebra(A.field, A.dim, t)
+    assert check_anticommutative(B) == reference_check_anticommutative(B)
+    with pytest.raises(ValueError, match="not anticommutative"):
+        check_acaa(B)
+
+
+def test_checkers_match_element_references_on_named_algebras():
+    examples = [e.algebra for e in all_entries()] + [free_acaa(n).algebra for n in (2, 3)]
+    examples += [simple_lie_3(), commutative_2(), upper_triangular_2x2(), full_matrix_2x2()]
+    examples += [Algebra.from_products(F, 3, {(0, 1): {2: 1}}, skew=True) for F in FIELDS]
+    coeffs = (jacobi_coeffs, acaa_coeffs, antiassociativity_coeffs)
+    for A in examples:
+        assert check_anticommutative(A) == reference_check_anticommutative(A)
+        assert check_rho_associative(A) == reference_check_rho_associative(A)
+        assert check_acaa_admissible(A) == reference_check_acaa_admissible(A)
+        for make in coeffs:
+            assert (check_quadratic_identity(A, make(A.field))
+                    == reference_check_quadratic_identity(A, make(A.field)))
+    assert check_rho_associative(upper_triangular_2x2()) == (0, 0, 1)
+    assert check_acaa_admissible(full_matrix_2x2()) is not None
+
+
+def test_quadratic_identity_value_over_prime_field():
+    # the Element-level route multiplies FpElement coefficients into elements
+    F5 = PrimeField(5)
+    A = Algebra.from_products(F5, 3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}},
+                              skew=True)
+    x, y, z = (A.basis(i) for i in range(3))
+    assert quadratic_identity_value(A, jacobi_coeffs(F5), x, y, z).is_zero
+    assert quadratic_identity_value(A, acaa_coeffs(F5), x, y, z) == x * (y * z) - y * (z * x)
+    assert check_quadratic_identity(A, jacobi_coeffs(F5)) is None
+    assert check_quadratic_identity(A, acaa_coeffs(F5)) == (0, 0, 1)

@@ -202,6 +202,42 @@ def test_non_positive_counts_exit_2_with_one_error_line(capsys, argv):
     assert one_error_line(capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--identity", "custom", "--coeffs", "1/0,0,0,0,0,0,1,0,0,0,-1,0", "h5"],
+    ["ad", "h3", "--element", "1/0,0,0"],
+], ids=("coeffs", "element"))
+def test_division_by_zero_literal_exits_2_with_one_error_line(capsys, argv):
+    assert main(argv) == 2
+    assert one_error_line(capsys)
+
+
+IDENTITIES = ("anticommutative", "acaa", "jacobi", "antiassociative", "rho-associative",
+              "acaa-admissible", "custom")
+
+
+@pytest.mark.parametrize("identity", IDENTITIES)
+def test_every_identity_runs_on_prime_field_files(capsys, tmp_path, identity):
+    from acaa.algebra import Algebra
+    from acaa.fields import PrimeField
+
+    F5 = PrimeField(5)
+    tables = {"h3": ({(0, 1): {2: 1}}, True),
+              "cross": ({(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: 4}}, True),
+              "plain": ({(0, 0): {1: 2}, (0, 1): {2: 3}, (2, 1): {0: 1}}, False)}
+    for name, (products, skew) in tables.items():
+        path = tmp_path / f"{name}.json"
+        save_algebra(Algebra.from_products(F5, 3, products, skew=skew), path)
+        extra = ["--coeffs", "1,0,2,0,0,4,1,0,0,3,4,0"] if identity == "custom" else []
+        code = main(["check", "--identity", identity, *extra, str(path)])
+        capsys.readouterr()
+        if identity == "acaa" and not skew:
+            assert code == 2  # the anticommutativity precondition
+        else:
+            assert code in (0, 1), (name, identity)
+        if name == "h3" and identity == "jacobi":
+            assert code == 0
+
+
 def src_env():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -96,3 +96,34 @@ def test_fp_element_bool_and_eq():
     assert not F3.zero
     assert F3.from_int(4) == F3.one
     assert FpElement(3, -1).r == 2
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_fp_arithmetic_matches_int_arithmetic_mod_p(p):
+    from acaa.algebra import Algebra
+
+    F = PrimeField(p)
+    for a in range(-p, 2 * p):
+        for b in range(-p, 2 * p):
+            x, y = F.from_int(a), F.from_int(b)
+            assert (x + y).r == (a + b) % p
+            assert (x - y).r == (a - b) % p
+            assert (x * y).r == (a * b) % p
+            if b % p:
+                assert ((x / y) * y).r == a % p
+    # an operand that is not an FpElement gets its own reflected method
+    A = Algebra.from_products(F, 2, {(0, 1): {0: 1}}, skew=True)
+    v = A.element([1, p - 1])
+    for a in range(p):
+        c = F.from_int(a)
+        assert (c * v).coords == (v * c).coords == (c, F.from_int(-a))
+    with pytest.raises(TypeError):
+        F.one + 1
+    with pytest.raises(ValueError):
+        F.one * PrimeField(11).one
+
+
+def test_rational_coerce_refuses_division_by_zero():
+    assert Q.coerce("-3/4") == Fraction(-3, 4)
+    with pytest.raises(ValueError, match="divides by zero"):
+        Q.coerce("1/0")

@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acaa.fields import PrimeField, Q
-from acaa.linalg import (Matrix, random_invertible, random_matrix,
+from acaa.linalg import (Matrix, _rref, random_invertible, random_matrix,
                          rank_kernel, span, subspace_equal)
 
 
@@ -108,3 +111,96 @@ def test_rank_over_f2():
     F2 = PrimeField(2)
     m = Matrix.build(F2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     assert m.rank() == 2
+
+
+# --- _rref on the integer elimination against the Gauss-Jordan it replaced ---
+
+def reference_rref(field, rows):
+    """The former field-element Gauss-Jordan _rref, kept here only as a
+    test oracle."""
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = field.one / rows[r][c]
+        rows[r] = [inv * v for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+RREF_FIELDS = (Q, PrimeField(3), PrimeField(5), PrimeField(7))
+
+
+@st.composite
+def matrices(draw):
+    """Matrices over Q (fractional entries), F_3, F_5 and F_7 with up to 7
+    rows and columns, of bounded rank, with some zero columns and rows."""
+    field = draw(st.sampled_from(RREF_FIELDS))
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def entry():
+        n = rng.randint(-4, 4)
+        return Fraction(n, rng.randint(1, 5)) if field == Q else field.from_int(n)
+
+    rank = rng.randint(0, min(nrows, ncols))
+    basis = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    zero_cols = {c for c in range(ncols) if rng.random() < 0.2}
+    rows = []
+    for _ in range(nrows):
+        row = [field.zero] * ncols
+        for b in basis:
+            w = entry()
+            row = [x + w * y for x, y in zip(row, b)]
+        rows.append([field.zero if c in zero_cols else x for c, x in enumerate(row)])
+    return Matrix(field, rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(matrices())
+def test_rref_rank_kernel_span_match_fraction_reference(m):
+    rows, pivots = reference_rref(m.field, m.entries)
+    assert _rref(m.field, m.entries) == (rows, pivots)
+    assert m.rref() == (Matrix(m.field, rows), tuple(pivots))
+    assert m.rank() == len(pivots)
+    kernel = m.kernel_vectors()
+    assert len(kernel) == m.ncols - len(pivots)
+    assert all(not any(m.apply(v)) for v in kernel)
+    if m.nrows:
+        assert span(m.field, m.entries, m.ncols).basis == tuple(map(tuple, rows[:len(pivots)]))
+    if m.nrows == m.ncols and len(pivots) == m.nrows:
+        assert m * m.inverse() == Matrix.identity(m.field, m.nrows)
+
+
+@pytest.mark.parametrize("field", RREF_FIELDS, ids=str)
+def test_rref_edge_cases_match_fraction_reference(field):
+    z, o, two = field.zero, field.one, field.from_int(2)
+    cases = [
+        [],                                    # no rows
+        [[], []],                              # rows without columns
+        [[z, z, z]],                           # one zero row
+        [[z, o, z], [z, two, z]],              # zero columns, rank 1
+        [[o, two, z], [two, o + o + o + o, z], [z, z, z]],  # rank deficient
+        [[z, o], [o, z], [o, o]],              # more rows than columns
+    ]
+    for rows in cases:
+        want = reference_rref(field, rows)
+        assert _rref(field, rows) == want
+        assert len(_rref(field, rows)[0]) == len(rows)

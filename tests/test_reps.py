@@ -1,8 +1,11 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given
 
-from acaa.algebra import random_element
+from acaa import reps
+from acaa.algebra import Algebra, random_element
 from acaa.catalog import all_entries, entry
 from acaa.fields import Q
 from acaa.free import free_acaa
@@ -13,7 +16,7 @@ from acaa.reps import (Representation, ad_matrix, adjoint_representation,
                        is_faithful)
 from acaa.serialize import representation_from_json, representation_to_json
 
-from conftest import simple_lie_3
+from conftest import FIELDS, KERNEL_SETTINGS, simple_lie_3, skew_algebras
 
 
 def test_ad_of_central_element_is_zero():
@@ -244,3 +247,70 @@ def test_representation_shape_validation():
         Representation(h3, 3, [Matrix.zero(Q, 3, 3)] * 2)
     with pytest.raises(ValueError):
         Representation(h3, 3, [Matrix.zero(Q, 2, 3)] * 3)
+
+
+# --- the adjoint laws against the Matrix products they replaced --------------
+
+def reference_check_ad_identities(A):
+    """The former Matrix-product check_ad_identities without its
+    precondition, kept here only as a test oracle."""
+    ads = [ad_matrix(A, A.basis(i)) for i in range(A.dim)]
+    two = A.field.from_int(2)
+    for i in range(A.dim):
+        if not (ads[i] * ads[i]).is_zero():
+            return ("square", (i,))
+    for i in range(A.dim):
+        for j in range(A.dim):
+            ij = ads[i] * ads[j]
+            ji = ads[j] * ads[i]
+            if not (ij + ji).is_zero():
+                return ("anticommutation", (i, j))
+            ad_bracket = ad_matrix(A, A.element(A.product(i, j)))
+            if not (ad_bracket.scale(two) + ij - ji).is_zero():
+                return ("double-bracket", (i, j))
+    return None
+
+
+@KERNEL_SETTINGS
+@given(skew_algebras())
+def test_ad_identities_witness_matches_matrix_reference(A):
+    # ACAA tables pass the precondition and every law; on all tables the
+    # laws are also scanned with the precondition switched off, so that the
+    # witness order is compared on failing tables too
+    if reps.check_acaa(A) is None:
+        assert check_ad_identities(A) is None
+    else:
+        with pytest.raises(ValueError, match="precondition"):
+            check_ad_identities(A)
+    with mock.patch.object(reps, "check_acaa", lambda A: None):
+        assert check_ad_identities(A) == reference_check_ad_identities(A)
+
+
+def test_ad_identities_witness_order_on_sparse_tables():
+    # sparse skew tables with two or three products mostly square to zero,
+    # so they also reach the anticommutation and double-bracket laws
+    rng = random.Random(41)
+    examples = [e.algebra for e in all_entries()] + [free_acaa(3).algebra, simple_lie_3()]
+    for _ in range(300):
+        F = rng.choice(FIELDS)
+        pairs = rng.sample([(i, j) for i in range(5) for j in range(i + 1, 5)], rng.randint(2, 3))
+        examples.append(Algebra.from_products(
+            F, 5, {pair: {rng.randrange(5): rng.randint(1, 2)} for pair in pairs}, skew=True))
+    laws = set()
+    with mock.patch.object(reps, "check_acaa", lambda A: None):
+        for A in examples:
+            w = check_ad_identities(A)
+            assert w == reference_check_ad_identities(A)
+            laws.add(w and w[0])
+        assert check_ad_identities(simple_lie_3()) == ("square", (0,))
+        # [e1, e2] = e3, [e3, e4] = e5: 2 ad e3 + [ad e1, ad e2] sends e4 to 2 e5
+        T = Algebra.from_products(Q, 5, {(0, 1): {2: 1}, (2, 3): {4: 1}}, skew=True)
+        assert check_ad_identities(T) == ("double-bracket", (0, 1))
+    assert laws == {None, "square", "anticommutation", "double-bracket"}
+
+
+def test_ad_matrix_over_prime_fields():
+    for F in FIELDS:
+        A = Algebra.from_products(F, 3, {(0, 1): {2: 1}}, skew=True)
+        m = ad_matrix(A, [F.from_int(2), F.one, F.zero])
+        assert m == Matrix.build(F, [[0, 0, 0], [0, 0, 0], [-1, 2, 0]])
