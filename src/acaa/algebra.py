@@ -13,9 +13,8 @@ violating tuple of basis indices in lexicographic order.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import Matrix, _int_rank, _int_reduce, _int_scale
+from .linalg import Matrix, _from_ints, _int_rank, _int_reduce, _int_scale
 
 # Order of the twelve degree-3 monomials in the general quadratic identity:
 # first the left-bracketed products (x_a x_b) x_c, then the right-bracketed
@@ -526,9 +525,7 @@ def change_basis(A: Algebra, P: Matrix) -> Algebra:
     if pivots != list(range(d)):
         raise ValueError("matrix is singular")
     R = [row[d:] for row in rows]
-    den = det * mu * lam  # 1 over F_p
-    make = A.field.from_int if p else (lambda n: Fraction(n, den))
-    zero = A.field.zero
+    vec = _from_ints(A.field, det * mu * lam)
     cols = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*M)]
     # by[b][i] = e_i * (M e_b), so that (M e_a) * (M e_b) = sum_i M[i][a] by[b][i]
     by = [[_mul_into([0] * d, t[i], col) for i in range(d)] for col in cols]
@@ -537,8 +534,7 @@ def change_basis(A: Algebra, P: Matrix) -> Algebra:
         plane = []
         for rows_b in by:
             w = [sum(c * rows_b[i][k] for i, c in col) for k in range(d)]
-            plane.append([make(n) if n else zero
-                          for n in (sum(r * v for r, v in zip(Rrow, w)) for Rrow in R)])
+            plane.append(vec(sum(r * v for r, v in zip(Rrow, w)) for Rrow in R))
         tensor.append(plane)
     return Algebra(A.field, d, tensor, symmetry=A.symmetry)
 

@@ -15,14 +15,24 @@ d1(delta0(a))(u, v) = 3 [a, [u, v]], which does not vanish in general.
 
 Bilinear cochains are tensors phi[i][j] -> coordinate vector, trilinear
 ones psi[i][j][k] -> coordinate vector.
+
+The differentials run on the integer kernel.  The structure constants come
+from ``Algebra.int_table``, scaled by lam; the cochain is scaled to integers
+by ``linalg._int_rows``, with factor mu.  Each output vector is a sum of
+``algebra._mul_into`` terms.  The bracket [e_i, v] uses the plane
+table[i].  A cochain with a vector in one slot uses the cochain's own sparse
+integer rows as the plane.  Each differential is linear in c and linear in
+the cochain, so the integer result is exactly lam * mu times the field
+result.  It is converted back once per entry: n / (lam mu) over Q, the
+residue of n over F_p (where lam = mu = 1).
 """
 
 from dataclasses import dataclass
 
-from .algebra import (Algebra, Element, check_acaa, check_anticommutative,
+from .algebra import (Algebra, Element, _mul_into, check_acaa, check_anticommutative,
                       derived_cube_rows)
-from .linalg import Matrix, random_matrix, span
-from .reps import ad_matrix
+from .linalg import Matrix, _from_ints, _int_reduce, _int_rows, random_matrix
+from .reps import _derivation_defect, ad_matrix
 
 
 def zero_cochain2(A: Algebra):
@@ -54,81 +64,37 @@ def _require_skew(A, phi):
         raise ValueError("cochain is not skew-symmetric")
 
 
-def _bracket_vec(A, i, vec, sign=1):
-    """sign * [e_i, vec] for a coordinate vector."""
-    zero = A.field.zero
-    acc = [zero] * A.dim
-    for m, vm in enumerate(vec):
-        if not vm:
-            continue
-        for k, c in A.nonzero(i, m):
-            t = vm * c
-            acc[k] = acc[k] + t if sign > 0 else acc[k] - t
-    return acc
-
-
-def _phi_apply(A, phi, i, vec):
-    """phi(e_i, vec) for a coordinate vector in the second slot."""
-    zero = A.field.zero
-    acc = [zero] * A.dim
-    for m, vm in enumerate(vec):
-        if not vm:
-            continue
-        row = phi[i][m]
-        for k, c in enumerate(row):
-            if c:
-                acc[k] = acc[k] + vm * c
-    return acc
-
-
 def delta0(A: Algebra, a: Element) -> Matrix:
     """The default augmentation a -> ad a (see the module notes)."""
     return ad_matrix(A, a)
 
 
 def delta1(A: Algebra, f: Matrix):
-    """d1(f) as a skew bilinear tensor.  A must be anticommutative."""
-    if f.field != A.field or f.shape != (A.dim, A.dim):
-        raise ValueError("endomorphism has wrong shape or field")
-    one, zero = A.field.one, A.field.zero
-    f_basis = [f.apply([one if m == i else zero for m in range(A.dim)])
-               for i in range(A.dim)]
-    out = []
-    for i in range(A.dim):
-        row = []
-        for j in range(A.dim):
-            acc = list(f.apply(A.product(i, j)))
-            for k, v in enumerate(_bracket_vec(A, i, f_basis[j])):
-                acc[k] = acc[k] - v
-            fei_ej = A.multiply_coords(f_basis[i],
-                                       [one if m == j else zero for m in range(A.dim)])
-            for k, v in enumerate(fei_ej):
-                acc[k] = acc[k] - v
-            row.append(tuple(acc))
-        out.append(tuple(row))
-    return tuple(out)
+    """d1(f) as a skew bilinear tensor.  A must be anticommutative.
+
+    It is H_1 of ``reps._derivation_defect``, converted back once per entry.
+    """
+    _, den, h = _derivation_defect(A, f, 1)
+    vec, r = _from_ints(A.field, den), range(A.dim)
+    return tuple(tuple(vec(h(i, j)) for j in r) for i in r)
 
 
 def delta2(A: Algebra, phi):
     """d2(phi) as a trilinear tensor, symmetric in the first two slots."""
     _require_skew(A, phi)
-    out = []
-    for i in range(A.dim):
-        plane = []
-        for j in range(A.dim):
-            row = []
-            for k in range(A.dim):
-                acc = _phi_apply(A, phi, i, A.product(j, k))
-                for m, v in enumerate(_bracket_vec(A, i, phi[j][k])):
-                    acc[m] = acc[m] + v
-                for m, v in enumerate(_phi_apply(A, phi, j, A.product(k, i))):
-                    acc[m] = acc[m] - v
-                for m, v in enumerate(_bracket_vec(A, j, phi[k][i])):
-                    acc[m] = acc[m] - v
-                row.append(tuple(acc))
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return tuple(out)
+    _, lam, t = A.int_table()
+    d, r = A.dim, range(A.dim)
+    mu, rows = _int_rows(A.field, (v for row in phi for v in row))
+    rows = iter(rows)
+    P = [[next(rows) for _ in r] for _ in r]  # P[i] is the plane of phi(e_i, .)
+    vec = _from_ints(A.field, lam * mu)
+
+    def cell(i, j, k):
+        acc = _mul_into([0] * d, P[i], t[j][k])
+        _mul_into(acc, t[i], P[j][k])
+        _mul_into(acc, P[j], t[k][i], -1)
+        return vec(_mul_into(acc, t[j], P[k][i], -1))
+    return tuple(tuple(tuple(cell(i, j, k) for k in r) for j in r) for i in r)
 
 
 def delta3(A: Algebra, psi):
@@ -140,45 +106,24 @@ def delta3(A: Algebra, psi):
     """
     if not is_sym12(A, psi):
         raise ValueError("cochain is not symmetric in its first two arguments")
+    _, lam, t = A.int_table()
+    d, r = A.dim, range(A.dim)
+    mu, rows = _int_rows(A.field, (v for plane in psi for row in plane for v in row))
+    rows = iter(rows)
+    S = [[[next(rows) for _ in r] for _ in r] for _ in r]  # S[i][j] is psi(e_i, e_j, .)
+    M = [[[S[i][m][j] for m in r] for j in r] for i in r]  # M[i][j] is psi(e_i, ., e_j)
+    vec = _from_ints(A.field, lam * mu)
 
-    def psi_line(i, j, vec, slot):
-        # psi with vec substituted in the given slot, basis vectors elsewhere
-        zero = A.field.zero
-        acc = [zero] * A.dim
-        for m, vm in enumerate(vec):
-            if not vm:
-                continue
-            if slot == 2:
-                row = psi[i][j][m]
-            else:
-                row = psi[i][m][j]
-            for k, c in enumerate(row):
-                if c:
-                    acc[k] = acc[k] + vm * c
-        return acc
-
-    out = []
-    for i1 in range(A.dim):
-        cube = []
-        for i2 in range(A.dim):
-            plane = []
-            for i3 in range(A.dim):
-                row = []
-                for i4 in range(A.dim):
-                    br34 = A.product(i3, i4)
-                    acc = psi_line(i1, i2, br34, 2)
-                    for m, v in enumerate(psi_line(i1, i2, br34, 1)):
-                        acc[m] = acc[m] + v
-                    for m, v in enumerate(psi_line(i2, i1, br34, 1)):
-                        acc[m] = acc[m] + v
-                    for tail in (psi[i2][i3][i4], psi[i2][i4][i3], psi[i4][i3][i2]):
-                        for m, v in enumerate(_bracket_vec(A, i1, tail)):
-                            acc[m] = acc[m] + v
-                    row.append(tuple(acc))
-                plane.append(tuple(row))
-            cube.append(tuple(plane))
-        out.append(tuple(cube))
-    return tuple(out)
+    def cell(i1, i2, i3, i4):
+        br = t[i3][i4]
+        acc = _mul_into([0] * d, S[i1][i2], br)
+        _mul_into(acc, M[i1][i2], br)
+        _mul_into(acc, M[i2][i1], br)
+        for tail in (S[i2][i3][i4], S[i2][i4][i3], S[i4][i3][i2]):
+            _mul_into(acc, t[i1], tail)
+        return vec(acc)
+    return tuple(tuple(tuple(tuple(cell(i1, i2, i3, i4) for i4 in r) for i3 in r)
+                       for i2 in r) for i1 in r)
 
 
 def check_cyclic_sum(A: Algebra, phi):
@@ -247,6 +192,14 @@ class GradedAlgebra:
                             f" {self.degrees[k]} != {self.degrees[i]} + {self.degrees[j]}")
 
 
+def _unit_vectors(rows, ncols, p):
+    """The i with e_i in the span of integer rows.  In Gauss-Jordan form
+    every pivot column is zero outside its row, so e_i lies in the span
+    exactly when some reduced row is nonzero only in column i."""
+    supports = ([k for k, v in enumerate(row) if v] for row in _int_reduce(rows, ncols, p)[0])
+    return {s[0] for s in supports if len(s) == 1}
+
+
 def infer_grading(A: Algebra) -> GradedAlgebra:
     """Read a grading off the filtration by product length.
 
@@ -254,19 +207,10 @@ def infer_grading(A: Algebra) -> GradedAlgebra:
     it but outside the span of length-3 products degree 2, the rest degree
     3.  Fails if the basis does not align with the filtration.
     """
-    d = A.dim
-    derived, cube = (span(A.field, [[A.field.from_int(v) for v in row] for row in rows], d)
-                     for rows in derived_cube_rows(A))
-    degrees = []
-    for i in range(d):
-        e = [A.field.one if m == i else A.field.zero for m in range(d)]
-        if cube.contains(e):
-            degrees.append(3)
-        elif derived.contains(e):
-            degrees.append(2)
-        else:
-            degrees.append(1)
-    return GradedAlgebra(A, tuple(degrees))
+    p = A.field.characteristic
+    derived, cube = (_unit_vectors(rows, A.dim, p) for rows in derived_cube_rows(A))
+    return GradedAlgebra(A, tuple(3 if i in cube else 2 if i in derived else 1
+                                  for i in range(A.dim)))
 
 
 def g_map(G: GradedAlgebra, x: int) -> Matrix:

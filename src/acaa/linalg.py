@@ -21,6 +21,22 @@ def _int_scale(field, values):
     return lam, lambda x: x.numerator * (lam // x.denominator)
 
 
+def _from_ints(field, den):
+    """The way back from ``_int_scale``: an int vector n -> the field vector
+    n / den over Q, and over F_p (den = 1) the residues of n."""
+    p, zero = field.characteristic, field.zero
+    make = field.from_int if p else (lambda n: Fraction(n, den))
+    return lambda ints: tuple(make(n) if (n % p if p else n) else zero for n in ints)
+
+
+def _int_rows(field, vectors):
+    """(lam, rows): the coordinate vectors scaled to integers together, as
+    in ``_int_scale``, each row as its sparse (index, int) pairs."""
+    vectors = list(vectors)
+    lam, to_int = _int_scale(field, [x for v in vectors for x in v if x])
+    return lam, [tuple((k, to_int(x)) for k, x in enumerate(v) if x) for v in vectors]
+
+
 def _int_reduce(rows, ncols, p):
     """Gauss-Jordan elimination of integer rows: (rows, pivots, det).
 
@@ -271,10 +287,12 @@ def span(field, vectors, ambient_dim) -> Subspace:
 
 
 def rank_kernel(m: Matrix):
-    """Rank of m together with its right kernel as a canonical subspace."""
-    rank = m.rank()
+    """Rank of m together with its right kernel as a canonical subspace.
+
+    One elimination: the kernel has one vector per free column, so the rank
+    is ncols - dim kernel (rank-nullity)."""
     kernel = span(m.field, m.kernel_vectors(), m.ncols)
-    return rank, kernel
+    return m.ncols - kernel.dim, kernel
 
 
 def subspace_equal(a: Subspace, b: Subspace) -> bool:

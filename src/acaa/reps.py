@@ -12,9 +12,10 @@ pair, so no faithful triple of images exists for the 3-dimensional
 Heisenberg algebra at that matrix size.
 """
 
-from .algebra import Algebra, Element, QuadIdentityCoeffs, _quad_test, check_acaa
+from .algebra import (Algebra, Element, QuadIdentityCoeffs, _mul_into, _quad_test,
+                      check_acaa)
 from .catalog import _chunked, _decode
-from .linalg import Matrix
+from .linalg import Matrix, _int_rows
 
 
 def ad_matrix(A: Algebra, x) -> Matrix:
@@ -95,27 +96,42 @@ def check_ad_identities(A: Algebra):
     return None
 
 
+def _derivation_defect(A: Algebra, f: Matrix, w: int):
+    """(p, den, h) with h(i, j) the ints den * H_w(e_i, e_j), where
+
+    H_w(u, v) = w f(uv) - u f(v) - f(u) v,
+
+    on ``Algebra.int_table`` (lam) with f scaled to integers (mu) by
+    ``linalg._int_rows``.  Each term is linear in c and in f, so the integer
+    vector is den = lam * mu times the field one (den = 1 over F_p, where
+    callers reduce mod p).  H_1 is d1(f); f is a derivation when it vanishes.
+    """
+    if f.field != A.field or f.shape != (A.dim, A.dim):
+        raise ValueError("endomorphism has wrong shape or field")
+    p, lam, t = A.int_table()
+    d = A.dim
+    mu, images = _int_rows(A.field, zip(*f.entries))  # images[k] = f(e_k)
+    cols = [[t[m][k] for m in range(d)] for k in range(d)]
+
+    def h(i, j):
+        acc = _mul_into([0] * d, images, t[i][j], w)
+        _mul_into(acc, t[i], images[j], -1)
+        return _mul_into(acc, cols[j], images[i], -1)
+    return p, lam * mu, h
+
+
 def check_weighted_antiderivation(A: Algebra, f: Matrix, weight: int):
     """None, or the first pair (i, j) violating
     weight * f(e_i e_j) + e_i f(e_j) + f(e_i) e_j = 0.
+
+    The sum is -H_(-weight)(e_i, e_j) of ``_derivation_defect``.
     """
     if weight < 1:
         raise ValueError("weight must be a positive integer")
-    if f.field != A.field or f.shape != (A.dim, A.dim):
-        raise ValueError("endomorphism has wrong shape or field")
-    k = A.field.from_int(weight)
-    f_basis = [f.apply([A.field.one if m == i else A.field.zero for m in range(A.dim)])
-               for i in range(A.dim)]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            v = [k * t for t in f.apply(A.product(i, j))]
-            ei = [A.field.one if m == i else A.field.zero for m in range(A.dim)]
-            ej = [A.field.one if m == j else A.field.zero for m in range(A.dim)]
-            left = A.multiply_coords(ei, f_basis[j])
-            right = A.multiply_coords(f_basis[i], ej)
-            if any(a + b + c for a, b, c in zip(v, left, right)):
-                return (i, j)
-    return None
+    p, _, h = _derivation_defect(A, f, -weight)
+    r = range(A.dim)
+    return next(((i, j) for i in r for j in r
+                 if any(v % p if p else v for v in h(i, j))), None)
 
 
 def check_representation(rep: Representation):

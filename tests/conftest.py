@@ -157,3 +157,125 @@ def random_invertible_over(field, d, rng):
 
 
 KERNEL_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+# --- the former field-element cochain maps, kept as test oracles --------------
+
+def _reference_bracket_vec(A, i, vec):
+    """[e_i, vec] for a coordinate vector."""
+    acc = [A.field.zero] * A.dim
+    for m, vm in enumerate(vec):
+        if not vm:
+            continue
+        for k, c in A.nonzero(i, m):
+            acc[k] = acc[k] + vm * c
+    return acc
+
+
+def _reference_phi_apply(A, phi, i, vec):
+    """phi(e_i, vec) for a coordinate vector in the second slot."""
+    acc = [A.field.zero] * A.dim
+    for m, vm in enumerate(vec):
+        if not vm:
+            continue
+        for k, c in enumerate(phi[i][m]):
+            if c:
+                acc[k] = acc[k] + vm * c
+    return acc
+
+
+def _basis_vec(A, i):
+    return [A.field.one if m == i else A.field.zero for m in range(A.dim)]
+
+
+def reference_delta1(A, f):
+    """The former field-element d1(f)(u, v) = f[u, v] - [u, f(v)] - [f(u), v]."""
+    f_basis = [f.apply(_basis_vec(A, i)) for i in range(A.dim)]
+    out = []
+    for i in range(A.dim):
+        row = []
+        for j in range(A.dim):
+            acc = list(f.apply(A.product(i, j)))
+            for k, v in enumerate(_reference_bracket_vec(A, i, f_basis[j])):
+                acc[k] = acc[k] - v
+            for k, v in enumerate(A.multiply_coords(f_basis[i], _basis_vec(A, j))):
+                acc[k] = acc[k] - v
+            row.append(tuple(acc))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def reference_delta2(A, phi):
+    """The former field-element d2(phi)(x, y, z)
+    = phi(x,[y,z]) + [x,phi(y,z)] - phi(y,[z,x]) - [y,phi(z,x)]."""
+    out = []
+    for i in range(A.dim):
+        plane = []
+        for j in range(A.dim):
+            row = []
+            for k in range(A.dim):
+                acc = _reference_phi_apply(A, phi, i, A.product(j, k))
+                for m, v in enumerate(_reference_bracket_vec(A, i, phi[j][k])):
+                    acc[m] = acc[m] + v
+                for m, v in enumerate(_reference_phi_apply(A, phi, j, A.product(k, i))):
+                    acc[m] = acc[m] - v
+                for m, v in enumerate(_reference_bracket_vec(A, j, phi[k][i])):
+                    acc[m] = acc[m] - v
+                row.append(tuple(acc))
+            plane.append(tuple(row))
+        out.append(tuple(plane))
+    return tuple(out)
+
+
+def reference_delta3(A, psi):
+    """The former field-element six-term arity-4 map."""
+    def psi_line(i, j, vec, slot):
+        # psi with vec substituted in the given slot, basis vectors elsewhere
+        acc = [A.field.zero] * A.dim
+        for m, vm in enumerate(vec):
+            if not vm:
+                continue
+            row = psi[i][j][m] if slot == 2 else psi[i][m][j]
+            for k, c in enumerate(row):
+                if c:
+                    acc[k] = acc[k] + vm * c
+        return acc
+
+    d = A.dim
+    out = []
+    for i1 in range(d):
+        cube = []
+        for i2 in range(d):
+            plane = []
+            for i3 in range(d):
+                row = []
+                for i4 in range(d):
+                    br34 = A.product(i3, i4)
+                    acc = psi_line(i1, i2, br34, 2)
+                    for m, v in enumerate(psi_line(i1, i2, br34, 1)):
+                        acc[m] = acc[m] + v
+                    for m, v in enumerate(psi_line(i2, i1, br34, 1)):
+                        acc[m] = acc[m] + v
+                    for tail in (psi[i2][i3][i4], psi[i2][i4][i3], psi[i4][i3][i2]):
+                        for m, v in enumerate(_reference_bracket_vec(A, i1, tail)):
+                            acc[m] = acc[m] + v
+                    row.append(tuple(acc))
+                plane.append(tuple(row))
+            cube.append(tuple(plane))
+        out.append(tuple(cube))
+    return tuple(out)
+
+
+def reference_check_weighted_antiderivation(A, f, weight):
+    """The former field-element scan for the first pair (i, j) with
+    weight * f(e_i e_j) + e_i f(e_j) + f(e_i) e_j != 0."""
+    k = A.field.from_int(weight)
+    f_basis = [f.apply(_basis_vec(A, i)) for i in range(A.dim)]
+    for i in range(A.dim):
+        for j in range(A.dim):
+            v = [k * t for t in f.apply(A.product(i, j))]
+            left = A.multiply_coords(_basis_vec(A, i), f_basis[j])
+            right = A.multiply_coords(f_basis[i], _basis_vec(A, j))
+            if any(a + b + c for a, b, c in zip(v, left, right)):
+                return (i, j)
+    return None

@@ -142,6 +142,29 @@ def test_cohomology_checks(capsys, tmp_path):
     assert data["status"] == "holds"
 
 
+@pytest.mark.parametrize("field", ("Q", "F5"))
+def test_cohomology_d2d1_witness_on_the_cross_product_algebra(capsys, tmp_path, field):
+    # so(3) is a Lie algebra, not an ACAA, so d2 o d1 fails on the first sample
+    from acaa.algebra import Algebra
+    from acaa.fields import PrimeField
+
+    path = tmp_path / "so3.json"
+    if field == "Q":
+        save_algebra(simple_lie_3(), path)
+    else:
+        save_algebra(Algebra.from_products(PrimeField(5), 3, {(0, 1): {2: 1}, (1, 2): {0: 1},
+                                                              (0, 2): {1: 4}}, skew=True), path)
+    argv = ["cohomology", "--check", "d2d1", "--algebra", str(path), "--samples", "5",
+            "--seed", "3"]
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out == ('command: cohomology\nstatus: fails\nwitness: sample 0, e1, e1, e2\n'
+                   'check: "d2d1"\nsamples: 5\nseed: 3\n')
+    code, data = run_json(capsys, *argv)
+    assert code == 1
+    assert data["witness"] == ["sample 0", "e1", "e1", "e2"]
+
+
 def test_catalog_command(capsys):
     code, data = run_json(capsys, "catalog", "--dim", "5")
     assert code == 0
@@ -250,11 +273,14 @@ def test_cli_import_does_not_load_numpy():
                    env=src_env(), check=True)
 
 
-@pytest.mark.parametrize("argv", (["fingerprint", "free3"], ["check", "--identity", "acaa", "h5"],
-                                  ["recognize", "L5"]), ids=("fingerprint", "check", "recognize"))
+@pytest.mark.parametrize("argv", (
+    ["fingerprint", "free3"], ["check", "--identity", "acaa", "h5"], ["recognize", "L5"],
+    ["cohomology", "--check", "d2d1", "--algebra", "h5", "--samples", "2"],
+    ["cohomology", "--check", "gmap", "--algebra", "free3"],
+), ids=("fingerprint", "check", "recognize", "cohomology-d2d1", "cohomology-gmap"))
 def test_algebra_commands_run_without_numpy(argv):
-    # the integer kernel behind check_acaa, fingerprint and change_basis is
-    # pure Python; only the exhaustive searches load numpy
+    # the integer kernel behind check_acaa, fingerprint, change_basis and the
+    # cochain differentials is pure Python; only the exhaustive searches load numpy
     code = ("import sys; from acaa.cli import main; code = main(sys.argv[1:]); "
             "assert 'numpy' not in sys.modules; sys.exit(code)")
     subprocess.run([sys.executable, "-c", code] + argv, env=src_env(), check=True,

@@ -1,20 +1,25 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from acaa.algebra import random_element
+from acaa.algebra import Algebra, change_basis, derived_cube_rows, random_element
 from acaa.catalog import all_entries, entry
 from acaa.cohomology import (GradedAlgebra, check_cyclic_sum, cyclic_sum_witness,
                              d2_after_d1, d3_after_d2, delta0, delta1, delta2,
                              delta3, g_map, infer_grading, is_skew, is_sym12,
                              is_zero_tensor, random_endomorphism,
                              random_skew_cochain, zero_cochain2)
-from acaa.fields import Q
+from acaa.fields import PrimeField, Q
 from acaa.free import free_acaa
-from acaa.linalg import Matrix
+from acaa.linalg import Matrix, span
 from acaa.reps import ad_matrix
 
-from conftest import simple_lie_3
+from conftest import (KERNEL_SETTINGS, plain_algebras, random_invertible_over,
+                      reference_delta1, reference_delta2, reference_delta3, scalar,
+                      simple_lie_3, skew_algebras)
 
 
 def bracket_cochain(A):
@@ -220,3 +225,131 @@ def test_random_cochains_are_seeded():
     b = random_skew_cochain(h3, random.Random(9))
     assert a == b
     assert is_skew(h3, a)
+
+
+# --- the integer differentials against the field-element references ----------
+
+def random_cochains(A, rng, density=1.0):
+    """A random endomorphism, skew C^2 cochain and C^3 cochain symmetric in
+    its first two slots, with fractional entries over Q."""
+    F, d = A.field, A.dim
+
+    def vec():
+        return tuple(scalar(F, rng.randint(-3, 3), rng.randint(1, 4))
+                     if rng.random() < density else F.zero for _ in range(d))
+    f = Matrix(F, [vec() for _ in range(d)])
+    phi = [[(F.zero,) * d] * d for _ in range(d)]
+    psi = [[[None] * d for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            if j > i:
+                phi[i][j] = vec()
+                phi[j][i] = tuple(-v for v in phi[i][j])
+            for k in range(d):
+                psi[i][j][k] = psi[j][i][k] = vec()
+    return f, phi, psi
+
+
+@st.composite
+def algebras_with_cochains(draw):
+    """A skew or plain random algebra (see conftest) with random cochains of
+    varying density."""
+    A = draw(st.one_of(skew_algebras(), plain_algebras()))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return (A,) + random_cochains(A, rng, draw(st.sampled_from((0.2, 0.6, 1.0))))
+
+
+def first_nonzero_cell(t):
+    """The first (i, j, k) with a nonzero vector, as the d2d1 CLI check reports it."""
+    r = range(len(t))
+    return next(((i, j, k) for i in r for j in r for k in r if any(t[i][j][k])), None)
+
+
+@KERNEL_SETTINGS
+@given(algebras_with_cochains())
+def test_differentials_match_field_element_references(data):
+    A, f, phi, psi = data
+    assert delta1(A, f) == reference_delta1(A, f)
+    assert delta2(A, phi) == reference_delta2(A, phi)
+    assert delta3(A, psi) == reference_delta3(A, psi)
+    d1 = reference_delta1(A, f)
+    if is_skew(A, d1):
+        dd = d2_after_d1(A, f)
+        assert dd == reference_delta2(A, d1)
+        assert first_nonzero_cell(dd) == first_nonzero_cell(reference_delta2(A, d1))
+    else:
+        with pytest.raises(ValueError, match="skew"):
+            d2_after_d1(A, f)
+
+
+def test_differentials_match_references_on_named_algebras():
+    # ints, fractions and residues: the catalog, free3 over Q and F_5 and
+    # basis-changed copies with fractional constants
+    rng = random.Random(71)
+    algebras = [e.algebra for e in all_entries()]
+    algebras += [free_acaa(3).algebra, free_acaa(3, PrimeField(5)).algebra, simple_lie_3()]
+    algebras += [change_basis(entry(name).algebra, random_invertible_over(Q, dim, rng))
+                 for name, dim in (("h3+K", 4), ("h5", 5), ("L5", 5))]
+    # a milder change of basis keeps the reference d3 on dimension 7 quick
+    shear = Matrix.build(Q, [[Fraction(1, 2) if j == i + 1 else int(i == j) for j in range(7)]
+                             for i in range(7)])
+    algebras.append(change_basis(free_acaa(3).algebra, shear))
+    for A in algebras:
+        f, phi, psi = random_cochains(A, rng, 0.6 if A.dim < 6 else 0.15)
+        assert delta1(A, f) == reference_delta1(A, f)
+        assert d2_after_d1(A, f) == reference_delta2(A, reference_delta1(A, f))
+        assert delta2(A, phi) == reference_delta2(A, phi)
+        assert delta3(A, psi) == reference_delta3(A, psi)
+
+
+def test_d2_after_d1_fails_on_the_cross_product_algebra():
+    # a Lie algebra, not an ACAA: d2 o d1 need not vanish, over Q and F_5
+    for F in (Q, PrimeField(5)):
+        A = Algebra.from_products(F, 3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}},
+                                  skew=True)
+        f = Matrix.build(F, [[1, 0, 0], [0, 2, 0], [0, 0, 0]])
+        dd = d2_after_d1(A, f)
+        assert first_nonzero_cell(dd) is not None
+        assert dd == reference_delta2(A, reference_delta1(A, f))
+
+
+# --- infer_grading against the Subspace.contains route -----------------------
+
+def reference_grading(A):
+    """The degrees the former Subspace.contains route read off the
+    filtration, and the GradedAlgebra error they give, if any."""
+    derived, cube = (span(A.field, [[A.field.from_int(v) for v in row] for row in rows], A.dim)
+                     for rows in derived_cube_rows(A))
+    degrees = []
+    for i in range(A.dim):
+        e = A.basis(i).coords
+        degrees.append(3 if cube.contains(e) else 2 if derived.contains(e) else 1)
+    return grading_outcome(lambda: GradedAlgebra(A, tuple(degrees)))
+
+
+def grading_outcome(build):
+    try:
+        return build().degrees
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_infer_grading_matches_subspace_route():
+    rng = random.Random(73)
+    algebras = [free_acaa(n, F).algebra for n in range(1, 6) for F in (Q, PrimeField(5))]
+    algebras += [e.algebra for e in all_entries()]
+    # in a random basis the filtration no longer fits the basis
+    algebras += [change_basis(B, random_invertible_over(B.field, B.dim, rng))
+                 for B in algebras[:6] + [entry("h5").algebra, entry("n6").algebra]]
+    errors = 0
+    for A in algebras:
+        got = grading_outcome(lambda: infer_grading(A))
+        assert got == reference_grading(A), A
+        errors += isinstance(got, str)
+    assert 0 < errors < len(algebras)
+
+
+@KERNEL_SETTINGS
+@given(skew_algebras())
+def test_infer_grading_matches_subspace_route_on_random_tables(A):
+    assert grading_outcome(lambda: infer_grading(A)) == reference_grading(A)

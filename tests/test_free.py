@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from acaa.algebra import check_acaa, check_anticommutative
@@ -86,6 +88,29 @@ def test_normal_form_agrees_with_fold_exhaustively():
     for degree in range(1, 5):
         for tree in all_trees(3, degree):
             assert normal_form_element(F, tree) == eval_word(F, tree)
+
+
+def random_tree(rng, n_gens, degree):
+    """A bracket word of the given degree with a random bracketing."""
+    if degree == 1:
+        return rng.randrange(n_gens)
+    left = rng.randint(1, degree - 1)
+    return (random_tree(rng, n_gens, left), random_tree(rng, n_gens, degree - left))
+
+
+@pytest.mark.parametrize("n", (4, 5))
+def test_normal_form_agrees_with_fold_on_random_words(n):
+    # words up to degree 5 over few or many distinct generators, so that
+    # zero and nonzero degree-3 words and vanishing longer words all occur
+    F = free_acaa(n)
+    rng = random.Random(100 + n)
+    values = set()
+    for _ in range(400):
+        tree = random_tree(rng, rng.randint(1, n), rng.randint(1, 5))
+        nf = normal_form_element(F, tree)
+        assert nf == eval_word(F, tree), word_to_str(tree)
+        values.add((word_degree(tree), nf.is_zero))
+    assert {(3, True), (3, False), (4, True), (5, True)} <= values
 
 
 def test_word_parser_round_trip():

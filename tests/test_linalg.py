@@ -22,6 +22,40 @@ def test_zero_matrix_rank_kernel():
     assert kernel.dim == 4
 
 
+def test_rank_kernel_eliminates_the_matrix_once():
+    # the rank comes from rank-nullity, so only the kernel_vectors elimination
+    # (and the canonical span of the kernel) runs
+    from unittest import mock
+
+    from acaa import linalg
+    from acaa.free import free_acaa
+    from acaa.reps import ad_matrix
+
+    F = free_acaa(3)
+    m = ad_matrix(F.algebra, F.generator(0))
+    shapes = []
+
+    def counted(field, rows):
+        shapes.append((len(rows), len(rows[0]) if rows else 0))
+        return _rref(field, rows)
+    with mock.patch.object(linalg, "_rref", counted):
+        rank, kernel = rank_kernel(m)
+    assert (rank, kernel.dim) == (3, 4)
+    assert shapes == [(7, 7), (4, 7)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((Q, PrimeField(3), PrimeField(5))), st.integers(0, 6),
+       st.integers(0, 6), st.integers(0, 2 ** 32))
+def test_rank_kernel_rank_is_the_pivot_count(field, nrows, ncols, seed):
+    rng = random.Random(seed)
+    m = Matrix(field, [[field.from_int(rng.choice((0, 0, 1, -2))) for _ in range(ncols)]
+                       for _ in range(nrows)])
+    rank, kernel = rank_kernel(m)
+    assert rank == len(_rref(field, m.entries)[1])
+    assert kernel.dim == m.ncols - rank
+
+
 def test_span_empty():
     assert span(Q, [], 3).dim == 0
 

@@ -3,6 +3,7 @@ from unittest import mock
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from acaa import reps
 from acaa.algebra import Algebra, random_element
@@ -16,7 +17,9 @@ from acaa.reps import (Representation, ad_matrix, adjoint_representation,
                        is_faithful)
 from acaa.serialize import representation_from_json, representation_to_json
 
-from conftest import FIELDS, KERNEL_SETTINGS, simple_lie_3, skew_algebras
+from conftest import (FIELDS, KERNEL_SETTINGS, plain_algebras,
+                      reference_check_weighted_antiderivation, scalar, simple_lie_3,
+                      skew_algebras)
 
 
 def test_ad_of_central_element_is_zero():
@@ -106,9 +109,11 @@ def test_identity_map_is_not_weight1_antiderivation():
 
 def test_weighted_antiderivation_validation():
     h3 = entry("h3").algebra
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weight"):
         check_weighted_antiderivation(h3, Matrix.identity(Q, 3), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weight"):
+        check_weighted_antiderivation(h3, Matrix.identity(Q, 2), 0)
+    with pytest.raises(ValueError, match="shape or field"):
         check_weighted_antiderivation(h3, Matrix.identity(Q, 2), 2)
 
 
@@ -314,3 +319,51 @@ def test_ad_matrix_over_prime_fields():
         A = Algebra.from_products(F, 3, {(0, 1): {2: 1}}, skew=True)
         m = ad_matrix(A, [F.from_int(2), F.one, F.zero])
         assert m == Matrix.build(F, [[0, 0, 0], [0, 0, 0], [-1, 2, 0]])
+
+
+# --- the antiderivation scan against the field-element reference ------------
+
+def random_map(A, rng, kind):
+    """An endomorphism with fractional entries over Q: dense, sparse, ad x,
+    or ad x with one entry moved (which moves the first witness)."""
+    F, d = A.field, A.dim
+
+    def entry_():
+        return scalar(F, rng.randint(-3, 3), rng.randint(1, 4))
+    if kind in ("dense", "sparse"):
+        keep = 1.0 if kind == "dense" else 0.2
+        return Matrix(F, [[entry_() if rng.random() < keep else F.zero for _ in range(d)]
+                          for _ in range(d)])
+    m = [list(row) for row in ad_matrix(A, [entry_() for _ in range(d)]).entries]
+    if kind == "ad-moved":
+        i, j = rng.randrange(d), rng.randrange(d)
+        m[i][j] += scalar(F, rng.choice((-1, 1)), rng.randint(1, 3))
+    return Matrix(F, m)
+
+
+@KERNEL_SETTINGS
+@given(st.one_of(skew_algebras(), plain_algebras()), st.integers(0, 2 ** 32),
+       st.sampled_from(("dense", "sparse", "ad", "ad-moved")))
+def test_weighted_antiderivation_witness_matches_field_reference(A, seed, kind):
+    f = random_map(A, random.Random(seed), kind)
+    for weight in (1, 2, 3):
+        assert check_weighted_antiderivation(A, f, weight) \
+            == reference_check_weighted_antiderivation(A, f, weight)
+
+
+def test_weighted_antiderivation_witness_order_on_sparse_tables():
+    # ad x is a weight-2 antiderivation on an ACAA; a moved entry makes it
+    # fail at a pair that depends on where the entry sits
+    rng = random.Random(43)
+    witnesses = set()
+    for _ in range(200):
+        F = rng.choice(FIELDS)
+        pairs = rng.sample([(i, j) for i in range(5) for j in range(i + 1, 5)], rng.randint(2, 4))
+        A = Algebra.from_products(
+            F, 5, {pair: {rng.randrange(5): rng.randint(1, 2)} for pair in pairs}, skew=True)
+        f = random_map(A, rng, rng.choice(("ad", "ad-moved", "sparse")))
+        for weight in (1, 2):
+            w = check_weighted_antiderivation(A, f, weight)
+            assert w == reference_check_weighted_antiderivation(A, f, weight)
+            witnesses.add(w)
+    assert None in witnesses and len(witnesses) > 10

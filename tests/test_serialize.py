@@ -1,6 +1,9 @@
 import json
+import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from acaa.algebra import Algebra
 from acaa.catalog import entry
@@ -14,11 +17,28 @@ from acaa.serialize import (FormatError, algebra_from_json, algebra_to_json,
                             representation_from_json, representation_to_json,
                             save_algebra)
 
+from conftest import KERNEL_SETTINGS, plain_algebras, skew_algebras
+
 
 def test_algebra_round_trip():
     for name in ("h3", "h5", "L5", "free3", "n6"):
         A = entry(name).algebra
         assert algebra_from_json(algebra_to_json(A)) == A
+
+
+@KERNEL_SETTINGS
+@given(st.one_of(skew_algebras(), plain_algebras()), st.booleans(), st.integers(0, 2 ** 32))
+def test_algebra_json_round_trip_keeps_tensor_labels_and_symmetry(A, named, seed):
+    # fractional constants over Q, residues over F_3 and F_5; through the text
+    # form, as a file holds it
+    if named:
+        rng = random.Random(seed)
+        A = Algebra(A.field, A.dim, A.tensor, symmetry=A.symmetry, name=f"alg{seed}",
+                    labels=[f"b{i}{rng.choice('xyz')}" for i in range(A.dim)])
+    B = algebra_from_json(json.loads(json.dumps(algebra_to_json(A))))
+    assert B == A
+    assert (B.field, B.tensor, B.labels, B.symmetry, B.name) \
+        == (A.field, A.tensor, A.labels, A.symmetry, A.name)
 
 
 def test_algebra_file_round_trip(tmp_path):
