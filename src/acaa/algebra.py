@@ -299,18 +299,27 @@ def quadratic_identity_value(A: Algebra, coeffs: QuadIdentityCoeffs, x, y, z) ->
     return total
 
 
-def check_anticommutative(A: Algebra):
-    """None, or the first basis pair (i, j) violating x*y = -y*x, read from
-    ``Algebra.int_table`` (the law is homogeneous in c).  A pair fails in
-    both orders, so only j >= i is scanned; the first witness is the same."""
-    p, _, t = A.int_table()
-    for i in range(A.dim):
-        if t[i][i]:
+def _skew_witness(p, planes):
+    """None, or the first pair (i, j) where the sparse integer rows
+    planes[i][j] and planes[j][i] do not cancel (mod p when p > 0), a
+    nonzero planes[i][i] failing at (i, i).  The rows hold no zero entry
+    (over F_p residues in [1, p)), so a row vanishes exactly when it is
+    empty.  A pair fails in both orders, so only j >= i is scanned; the
+    first witness is the same."""
+    for i, plane in enumerate(planes):
+        if plane[i]:
             return (i, i)
-        for j in range(i + 1, A.dim):
-            if t[i][j] != tuple((k, -c % p if p else -c) for k, c in t[j][i]):
+        for j in range(i + 1, len(planes)):
+            if plane[j] != tuple((k, -c % p if p else -c) for k, c in planes[j][i]):
                 return (i, j)
     return None
+
+
+def check_anticommutative(A: Algebra):
+    """None, or the first basis pair (i, j) violating x*y = -y*x, read from
+    ``Algebra.int_table`` (the law is homogeneous in c)."""
+    p, _, t = A.int_table()
+    return _skew_witness(p, t)
 
 
 def _quad_test(A: Algebra, coeffs: QuadIdentityCoeffs):

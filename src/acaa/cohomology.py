@@ -24,14 +24,16 @@ table[i].  A cochain with a vector in one slot uses the cochain's own sparse
 integer rows as the plane.  Each differential is linear in c and linear in
 the cochain, so the integer result is exactly lam * mu times the field
 result.  It is converted back once per entry: n / (lam mu) over Q, the
-residue of n over F_p (where lam = mu = 1).
+residue of n over F_p (where lam = mu = 1), one shared value per distinct
+n.  The skew test on C^2 reads the same integer rows, and the cyclic-sum
+certificate sums integers, once per rotation orbit of (x, y, z).
 """
 
 from dataclasses import dataclass
 
-from .algebra import (Algebra, Element, _mul_into, check_acaa, check_anticommutative,
-                      derived_cube_rows)
-from .linalg import Matrix, _from_ints, _int_reduce, _int_rows, random_matrix
+from .algebra import (Algebra, Element, _mul_into, _skew_witness, check_acaa,
+                      check_anticommutative, derived_cube_rows)
+from .linalg import Matrix, _from_ints, _int_reduce, _int_rows, _int_scale, random_matrix
 from .reps import _derivation_defect, ad_matrix
 
 
@@ -40,14 +42,18 @@ def zero_cochain2(A: Algebra):
     return tuple(tuple(z for _ in range(A.dim)) for _ in range(A.dim))
 
 
+def _int_planes(A: Algebra, phi):
+    """(mu, P): the bilinear cochain phi scaled to sparse integer rows by
+    ``linalg._int_rows``, P[i][j] the row of phi(e_i, e_j)."""
+    mu, rows = _int_rows(A.field, (v for row in phi for v in row))
+    d = A.dim
+    return mu, [rows[i * d:(i + 1) * d] for i in range(d)]
+
+
 def is_skew(A: Algebra, phi) -> bool:
-    for i in range(A.dim):
-        if any(phi[i][i]):
-            return False
-        for j in range(i + 1, A.dim):
-            if any(a + b for a, b in zip(phi[i][j], phi[j][i])):
-                return False
-    return True
+    """phi(e_i, e_i) = 0 and phi(e_i, e_j) = -phi(e_j, e_i), tested on the
+    integer rows of phi by ``algebra._skew_witness``."""
+    return _skew_witness(A.field.characteristic, _int_planes(A, phi)[1]) is None
 
 
 def is_sym12(A: Algebra, psi) -> bool:
@@ -57,11 +63,6 @@ def is_sym12(A: Algebra, psi) -> bool:
                 if psi[i][j][k] != psi[j][i][k]:
                     return False
     return True
-
-
-def _require_skew(A, phi):
-    if not is_skew(A, phi):
-        raise ValueError("cochain is not skew-symmetric")
 
 
 def delta0(A: Algebra, a: Element) -> Matrix:
@@ -81,12 +82,11 @@ def delta1(A: Algebra, f: Matrix):
 
 def delta2(A: Algebra, phi):
     """d2(phi) as a trilinear tensor, symmetric in the first two slots."""
-    _require_skew(A, phi)
-    _, lam, t = A.int_table()
+    p, lam, t = A.int_table()
     d, r = A.dim, range(A.dim)
-    mu, rows = _int_rows(A.field, (v for row in phi for v in row))
-    rows = iter(rows)
-    P = [[next(rows) for _ in r] for _ in r]  # P[i] is the plane of phi(e_i, .)
+    mu, P = _int_planes(A, phi)  # P[i] is the plane of phi(e_i, .)
+    if _skew_witness(p, P) is not None:
+        raise ValueError("cochain is not skew-symmetric")
     vec = _from_ints(A.field, lam * mu)
 
     def cell(i, j, k):
@@ -136,13 +136,30 @@ def check_cyclic_sum(A: Algebra, phi):
 
 
 def cyclic_sum_witness(A: Algebra, psi):
-    """First triple where psi(x,y,z) + psi(y,z,x) + psi(z,x,y) != 0."""
-    for i in range(A.dim):
-        for j in range(A.dim):
-            for k in range(A.dim):
-                total = [a + b + c for a, b, c in
-                         zip(psi[i][j][k], psi[j][k][i], psi[k][i][j])]
-                if any(total):
+    """First triple where psi(x,y,z) + psi(y,z,x) + psi(z,x,y) != 0.
+
+    The sum is taken on integers: psi is scaled by ``linalg._int_scale``
+    (to residues over F_p, where the sum is reduced mod p).  It does not
+    change when (x, y, z) is rotated, so it is computed once per rotation
+    orbit, at the orbit's least triple in lex order.  The first failing
+    triple in lex order is such a least triple: its orbit's least triple
+    fails too and is not larger.  So the least triples, scanned in lex
+    order, give the same first witness as a scan of all triples.
+    """
+    p, d = A.field.characteristic, A.dim
+    cells = [v for plane in psi for row in plane for v in row]
+    to_int = _int_scale(A.field, [x for v in cells for x in v if x])[1]
+    ints = [[to_int(x) for x in v] for v in cells]
+
+    def cell(i, j, k):
+        return ints[(i * d + j) * d + k]
+    for i in range(d):
+        for j in range(i, d):
+            for k in range(i, d):
+                if (j, k, i) < (i, j, k) or (k, i, j) < (i, j, k):
+                    continue  # not the least triple of its orbit
+                total = map(sum, zip(cell(i, j, k), cell(j, k, i), cell(k, i, j)))
+                if any(n % p for n in total) if p else any(total):
                     return (i, j, k)
     return None
 

@@ -21,12 +21,26 @@ def _int_scale(field, values):
     return lam, lambda x: x.numerator * (lam // x.denominator)
 
 
+class _Values(dict):
+    """n -> its field value, made by ``make`` on the first lookup of n."""
+
+    __slots__ = ("make",)
+
+    def __missing__(self, n):
+        v = self[n] = self.make(n)
+        return v
+
+
 def _from_ints(field, den):
     """The way back from ``_int_scale``: an int vector n -> the field vector
-    n / den over Q, and over F_p (den = 1) the residues of n."""
+    n / den over Q, and over F_p (den = 1) the residues of n.  Each distinct
+    n is converted once per converter and its value shared (values are
+    immutable); every n that is 0 (mod p) gives the field's shared zero."""
     p, zero = field.characteristic, field.zero
-    make = field.from_int if p else (lambda n: Fraction(n, den))
-    return lambda ints: tuple(make(n) if (n % p if p else n) else zero for n in ints)
+    values = _Values({0: zero})
+    values.make = (lambda n: field.from_int(n) if n % p else zero) if p else (
+        lambda n: Fraction(n, den))
+    return lambda ints: tuple(map(values.__getitem__, ints))
 
 
 def _int_rows(field, vectors):
@@ -93,10 +107,9 @@ def _rref(field, rows):
     ncols = len(rows[0]) if rows else 0
     to_int = _int_scale(field, [x for row in rows for x in row])[1]
     out, pivots, det = _int_reduce([[to_int(x) for x in row] for row in rows], ncols, p)
-    make = field.from_int if p else (lambda n: Fraction(n, det))
-    zero = field.zero
-    out = [[make(x) if x else zero for x in row] for row in out]
-    return out + [[zero] * ncols for _ in range(len(rows) - len(out))], pivots
+    vec = _from_ints(field, det)
+    out = [list(vec(row)) for row in out]
+    return out + [[field.zero] * ncols for _ in range(len(rows) - len(out))], pivots
 
 
 class Matrix:

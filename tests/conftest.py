@@ -279,3 +279,28 @@ def reference_check_weighted_antiderivation(A, f, weight):
             if any(a + b + c for a, b, c in zip(v, left, right)):
                 return (i, j)
     return None
+
+
+def reference_is_skew(A, phi):
+    """The former field-element skew test: phi(e_i, e_i) = 0 and
+    phi(e_i, e_j) + phi(e_j, e_i) = 0."""
+    for i in range(A.dim):
+        if any(phi[i][i]):
+            return False
+        for j in range(i + 1, A.dim):
+            if any(a + b for a, b in zip(phi[i][j], phi[j][i])):
+                return False
+    return True
+
+
+def reference_cyclic_sum_witness(A, psi):
+    """The former field-element scan over all triples for the first one where
+    psi(x,y,z) + psi(y,z,x) + psi(z,x,y) != 0."""
+    for i in range(A.dim):
+        for j in range(A.dim):
+            for k in range(A.dim):
+                total = [a + b + c for a, b, c in
+                         zip(psi[i][j][k], psi[j][k][i], psi[k][i][j])]
+                if any(total):
+                    return (i, j, k)
+    return None

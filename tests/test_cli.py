@@ -142,9 +142,8 @@ def test_cohomology_checks(capsys, tmp_path):
     assert data["status"] == "holds"
 
 
-@pytest.mark.parametrize("field", ("Q", "F5"))
-def test_cohomology_d2d1_witness_on_the_cross_product_algebra(capsys, tmp_path, field):
-    # so(3) is a Lie algebra, not an ACAA, so d2 o d1 fails on the first sample
+def so3_file(tmp_path, field):
+    """so(3), the cross-product Lie algebra, saved over Q or F_5."""
     from acaa.algebra import Algebra
     from acaa.fields import PrimeField
 
@@ -154,7 +153,14 @@ def test_cohomology_d2d1_witness_on_the_cross_product_algebra(capsys, tmp_path, 
     else:
         save_algebra(Algebra.from_products(PrimeField(5), 3, {(0, 1): {2: 1}, (1, 2): {0: 1},
                                                               (0, 2): {1: 4}}, skew=True), path)
-    argv = ["cohomology", "--check", "d2d1", "--algebra", str(path), "--samples", "5",
+    return str(path)
+
+
+@pytest.mark.parametrize("field", ("Q", "F5"))
+def test_cohomology_d2d1_witness_on_the_cross_product_algebra(capsys, tmp_path, field):
+    # so(3) is a Lie algebra, not an ACAA, so d2 o d1 fails on the first sample
+    path = so3_file(tmp_path, field)
+    argv = ["cohomology", "--check", "d2d1", "--algebra", path, "--samples", "5",
             "--seed", "3"]
     code, out = run(capsys, *argv)
     assert code == 1
@@ -163,6 +169,20 @@ def test_cohomology_d2d1_witness_on_the_cross_product_algebra(capsys, tmp_path, 
     code, data = run_json(capsys, *argv)
     assert code == 1
     assert data["witness"] == ["sample 0", "e1", "e1", "e2"]
+
+
+@pytest.mark.parametrize("algebra", ("h5", "so3-Q", "so3-F5"))
+def test_cohomology_cyclic_output_is_pinned(capsys, tmp_path, algebra):
+    # exact output on an ACAA and on a Lie algebra that is not one, over Q
+    # and F_5; the cyclic sum of d2(phi) vanishes for every bilinear product
+    path = so3_file(tmp_path, algebra[5:]) if algebra.startswith("so3") else algebra
+    argv = ["cohomology", "--check", "cyclic", "--algebra", path, "--seed", "3"]
+    assert run(capsys, *argv) == (
+        0, 'command: cohomology\nstatus: holds\ncheck: "cyclic"\nsamples: 20\nseed: 3\n')
+    assert run(capsys, *argv, "--format", "json") == (0, (
+        '{\n  "command": "cohomology",\n  "payload": {\n    "check": "cyclic",\n'
+        '    "samples": 20,\n    "seed": 3\n  },\n  "status": "holds",\n'
+        '  "witness": null\n}\n'))
 
 
 def test_catalog_command(capsys):

@@ -17,9 +17,10 @@ from acaa.free import free_acaa
 from acaa.linalg import Matrix, span
 from acaa.reps import ad_matrix
 
-from conftest import (KERNEL_SETTINGS, plain_algebras, random_invertible_over,
-                      reference_delta1, reference_delta2, reference_delta3, scalar,
-                      simple_lie_3, skew_algebras)
+from conftest import (FIELDS, KERNEL_SETTINGS, plain_algebras, random_invertible_over,
+                      reference_cyclic_sum_witness, reference_delta1, reference_delta2,
+                      reference_delta3, reference_is_skew, scalar, simple_lie_3,
+                      skew_algebras)
 
 
 def bracket_cochain(A):
@@ -353,3 +354,149 @@ def test_infer_grading_matches_subspace_route():
 @given(skew_algebras())
 def test_infer_grading_matches_subspace_route_on_random_tables(A):
     assert grading_outcome(lambda: infer_grading(A)) == reference_grading(A)
+
+
+# --- the integer cyclic-sum scan and skew test against the field-element loops ---
+
+def zero_algebra(field, d):
+    return Algebra(field, d, [[[field.zero] * d for _ in range(d)] for _ in range(d)])
+
+
+def freeze(cells, d):
+    """A nested tuple tensor from a dict (i, j, ...) -> coordinate list."""
+    def build(prefix):
+        if len(prefix) == len(next(iter(cells))):
+            return tuple(cells[prefix])
+        return tuple(build(prefix + (i,)) for i in range(d))
+    return build(())
+
+
+def rotations(t):
+    i, j, k = t
+    return [(i, j, k), (j, k, i), (k, i, j)]
+
+
+def random_trilinear(field, d, kind, rng, density):
+    """A trilinear cochain as a dict (i, j, k) -> coordinate list.
+
+    random: entries drawn with the given density (fractional over Q), which
+    mostly fail early.  The other kinds start from chi - chi o rot, whose
+    cyclic sums all vanish.  perturbed: one entry moved, which puts the
+    witness anywhere.  planted: one orbit gets a nonzero entry at a rotation
+    that is not its least triple, and another orbit gets entries whose
+    residues sum to p (over Q: fractions summing to 0), which is no witness.
+    """
+    r = range(d)
+
+    def value():
+        return (scalar(field, rng.randint(-3, 3), rng.randint(1, 4))
+                if rng.random() < density else field.zero)
+    triples = [(i, j, k) for i in r for j in r for k in r]
+    chi = {t: [value() for _ in r] for t in triples}
+    if kind == "random":
+        return chi
+    psi = {t: [a - b for a, b in zip(chi[t], chi[rotations(t)[1]])] for t in triples}
+    nonzero = [n for n in range(-2, 3) if field.from_int(n)]
+    if kind == "perturbed":
+        t, m = rng.choice(triples), rng.randrange(d)
+        psi[t][m] += scalar(field, rng.choice(nonzero), rng.randint(1, 3))
+    elif kind == "planted" and d > 1:
+        spread = [t for t in triples if len(set(t)) > 1]
+        t, m = rng.choice(spread), rng.randrange(d)
+        psi[rng.choice(sorted(rotations(t))[1:])][m] += field.one
+        t, m = rng.choice(spread), rng.randrange(d)
+        p = field.characteristic
+        a, b = (rng.randint(1, p - 1), rng.randint(1, p - 1)) if p else (
+            Fraction(rng.randint(1, 5), rng.randint(1, 4)), Fraction(rng.randint(-5, 5), 3))
+        for u, x in zip(rotations(t), (a, b, -a - b)):
+            psi[u][m] += field.from_int(x) if p else x
+    return psi
+
+
+@KERNEL_SETTINGS
+@given(st.sampled_from(FIELDS), st.integers(1, 4),
+       st.sampled_from(("random", "balanced", "perturbed", "planted")),
+       st.sampled_from((0.1, 0.5, 1.0)), st.integers(0, 2 ** 32))
+def test_cyclic_sum_witness_matches_the_field_element_scan(field, d, kind, density, seed):
+    psi = freeze(random_trilinear(field, d, kind, random.Random(seed), density), d)
+    A = zero_algebra(field, d)
+    assert cyclic_sum_witness(A, psi) == reference_cyclic_sum_witness(A, psi)
+
+
+def test_cyclic_sum_witness_spread_over_many_inputs():
+    # the seeded inputs reach many different witnesses as well as None
+    rng = random.Random(83)
+    seen = set()
+    for _ in range(300):
+        field, d = rng.choice(FIELDS), rng.randint(2, 4)
+        kind = rng.choice(("balanced", "perturbed", "planted"))
+        psi = freeze(random_trilinear(field, d, kind, rng, rng.choice((0.1, 0.5))), d)
+        A = zero_algebra(field, d)
+        w = cyclic_sum_witness(A, psi)
+        assert w == reference_cyclic_sum_witness(A, psi)
+        seen.add(w)
+    assert None in seen and len(seen) > 15
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_cyclic_sum_witness_is_the_least_rotation(field):
+    # one nonzero orbit planted at (2, 0, 1), a later rotation of (0, 1, 2);
+    # an earlier orbit whose entries sum to p (to 0 over Q) is no witness
+    d = 3
+    cells = {(i, j, k): [field.zero] * d for i in range(d) for j in range(d) for k in range(d)}
+    cells[2, 0, 1][1] = field.from_int(2)
+    p = field.characteristic or 7
+    for t, x in zip(rotations((0, 0, 1)), (1, 1, p - 2)):
+        cells[t][0] = field.from_int(x)
+    if not field.characteristic:
+        cells[0, 0, 1][0] = cells[0, 0, 1][0] - 7
+    psi, A = freeze(cells, d), zero_algebra(field, d)
+    assert cyclic_sum_witness(A, psi) == (0, 1, 2) == reference_cyclic_sum_witness(A, psi)
+
+
+def random_bilinear(field, d, kind, rng):
+    """A bilinear cochain as a dict (i, j) -> coordinate list: skew, skew with
+    one entry moved on one side only, or skew with a nonzero diagonal entry.
+    Over F_p some pairs are written as residues a and p - a."""
+    p = field.characteristic
+    phi = {(i, i): [field.zero] * d for i in range(d)}
+    for i in range(d):
+        for j in range(i + 1, d):
+            phi[i, j] = [scalar(field, rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(d)]
+            phi[j, i] = [-v for v in phi[i, j]]
+            if p and rng.random() < 0.5:
+                a = rng.randint(1, p - 1)
+                phi[i, j][0], phi[j, i][0] = field.from_int(a), field.from_int(p - a)
+    x = scalar(field, rng.choice((-2, -1, 1, 2)), rng.randint(1, 3))
+    if kind == "perturbed" and d > 1:
+        i, j = rng.sample(range(d), 2)
+        phi[i, j][rng.randrange(d)] += x
+    elif kind == "diagonal":
+        phi[(rng.randrange(d),) * 2][rng.randrange(d)] = x
+    return phi
+
+
+@KERNEL_SETTINGS
+@given(skew_algebras(max_dim=4), st.sampled_from(("skew", "perturbed", "diagonal")),
+       st.integers(0, 2 ** 32))
+def test_skew_test_matches_the_field_element_loop(A, kind, seed):
+    phi = freeze(random_bilinear(A.field, A.dim, kind, random.Random(seed)), A.dim)
+    skew = reference_is_skew(A, phi)
+    assert is_skew(A, phi) == skew
+    assert skew == (kind == "skew")
+    if skew:
+        assert delta2(A, phi) == reference_delta2(A, phi)
+    else:
+        with pytest.raises(ValueError, match="^cochain is not skew-symmetric$"):
+            delta2(A, phi)
+
+
+def test_skew_pair_of_residues_summing_to_p():
+    F = PrimeField(5)
+    A = zero_algebra(F, 2)
+    zero = (F.zero, F.zero)
+    phi = ((zero, (F.from_int(2), F.from_int(1))), ((F.from_int(3), F.from_int(4)), zero))
+    assert is_skew(A, phi) and reference_is_skew(A, phi)
+    assert is_zero_tensor(delta2(A, phi))
+    bad = ((zero, (F.from_int(2), F.from_int(1))), ((F.from_int(3), F.from_int(3)), zero))
+    assert not is_skew(A, bad) and not reference_is_skew(A, bad)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acaa.fields import PrimeField, Q
-from acaa.linalg import (Matrix, _rref, random_invertible, random_matrix,
+from acaa.linalg import (Matrix, _from_ints, _rref, random_invertible, random_matrix,
                          rank_kernel, span, subspace_equal)
 
 
@@ -54,6 +54,26 @@ def test_rank_kernel_rank_is_the_pivot_count(field, nrows, ncols, seed):
     rank, kernel = rank_kernel(m)
     assert rank == len(_rref(field, m.entries)[1])
     assert kernel.dim == m.ncols - rank
+
+
+def test_from_ints_values_and_shared_objects():
+    ns = (-7, -5, 0, 3, 5, 6, 13, -7, 5, 0, 3)
+    for den in (1, 6):
+        vec = _from_ints(Q, den)
+        out = vec(ns)
+        assert out == tuple(Fraction(n, den) for n in ns)
+        assert out[0] is out[7] and out[4] is out[8] and out[3] is out[10]
+        assert out[2] is Q.zero and out[9] is Q.zero
+        assert vec([13, 0])[0] is out[6]
+    for p in (3, 5):
+        F = PrimeField(p)
+        vec = _from_ints(F, 1)
+        ns = (-7, -p, 0, p, 2 * p, p + 1, 3 * p + 2, -1, p + 1, -p, 1)
+        out = vec(iter(ns))
+        assert out == tuple(F.from_int(n) for n in ns)
+        assert [n for n, v in zip(ns, out) if v is F.zero] == [n for n in ns if n % p == 0]
+        assert out[5] is out[8] and out[1] is out[9]
+        assert vec([-7])[0] is out[0]
 
 
 def test_span_empty():
