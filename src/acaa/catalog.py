@@ -6,10 +6,15 @@ to isomorphism.  ``enumerate_finite`` re-derives the dimension-2 and -3
 statements over F_3 and F_5 by brute force: it enumerates every
 anticommutative tensor, filters by the linearized law, and counts
 GL(n, p)-orbits on the survivors by closing them under a generating set of
-n(n-1) + 1 matrices (``_gl_generators``); no group table is built.  The
-filter (``_acaa_mask``) is staged and compacting: the basis-triple checks
-run cheapest first, each only on the tensors that passed the ones before,
-in int16 arithmetic, which holds every partial sum for p <= 5 (|sum| <= 64).
+n(n-1) + 1 matrices (``_gl_generators``); no group table is built.  Codes
+are decoded a chunk at a time into int8 base-p digits by int32 floor
+division (``_decode``).  The filter (``_acaa_mask``) is staged and
+compacting: the basis-triple checks run cheapest first, each only on the
+tensors that passed the ones before, in int8 arithmetic on digit-major
+rows, which holds every partial sum for p <= 5 (|sum| <= 64).
+``reps.h3_faithfulness_search`` shares ``_decode``: its square-zero filter
+is one broadcast boolean grid over F_p^9, and its pair scan is staged over
+the entries of XY + YX.
 """
 
 from collections import Counter
@@ -140,15 +145,20 @@ _CHUNK = 1 << 17
 
 
 def _decode(codes, count, p):
-    """The base-p digits of each code, least significant first, shaped
-    (len(codes), count).  One divmod per digit fills a digit-major array
-    row by row; the result is its transposed view."""
+    """The base-p digits of each code, least significant first, as int8,
+    shaped (len(codes), count).  Codes are below 2^31 (the size guards keep
+    them there), so the digits come from int32 floor division: each step
+    writes c - (c // p) p into one row of a digit-major array, and the
+    result is its transposed view."""
     import numpy as np
 
-    out = np.empty((count, len(codes)), dtype=np.int64)
-    c = codes
+    out = np.empty((count, len(codes)), dtype=np.int8)
+    c = codes.astype(np.int32)
+    nc = np.empty_like(c)
     for q in range(count):
-        c, out[q] = np.divmod(c, p)
+        np.floor_divide(c, p, out=nc)
+        np.subtract(c, nc * p, out=out[q], casting="unsafe")
+        c, nc = nc, c
     return out.T
 
 
@@ -211,24 +221,26 @@ def _acaa_mask(C, dim, p, pairs):
 
     The filter is staged and compacting: each check runs only on the
     tensors that passed the checks before it, so after the first few
-    checks little is left to test.  The arithmetic is in int16: entries
-    lie in [0, p) with p <= 5, so a product is at most 16 and a check of
-    at most 2(dim - 1) = 4 terms stays within |64|.
+    checks little is left to test.  It runs digit-major, on the (pair,
+    coordinate, tensor) transpose of C, which for C from ``_decode`` is a
+    view with one contiguous row per digit.  The arithmetic is in int8:
+    entries lie in [0, p) with p <= 5, so a product is at most 16 and a
+    check of at most 2(dim - 1) = 4 terms stays within |64|.
     """
     import numpy as np
 
     alive = np.arange(len(C))
-    D = C.astype(np.int16)
+    D = np.asarray(C, dtype=np.int8).transpose(1, 2, 0)
     for terms in _acaa_checks(dim, pairs):
-        acc = np.zeros((len(D), dim), dtype=np.int16)
+        acc = np.zeros((dim, len(alive)), dtype=np.int8)
         for sign, q1, m, q2 in terms:
-            term = D[:, q1, m, None] * D[:, q2, :]
+            term = D[q1, m] * D[q2]
             if sign > 0:
                 acc += term
             else:
                 acc -= term
-        ok = (acc % p == 0).all(axis=1)
-        alive, D = alive[ok], D[ok]
+        keep = np.flatnonzero(~(acc % p).any(axis=0))
+        alive, D = alive[keep], D[:, :, keep]
     mask = np.zeros(len(C), dtype=bool)
     mask[alive] = True
     return mask
@@ -366,7 +378,7 @@ def enumerate_finite(dim: int, p: int, jobs: int = 1):
     """
     if dim not in (2, 3):
         raise ValueError("enumeration supports dimensions 2 and 3 only")
-    # p <= 5 keeps the int16 arithmetic of _acaa_mask within |64|
+    # p <= 5 keeps the int8 arithmetic of _acaa_mask within |64|
     if not is_prime(p) or p == 2 or p > 5:
         raise ValueError("p must be an odd prime at most 5")
     survivors = _scan(dim, p, jobs)

@@ -127,7 +127,13 @@ def delta3(A: Algebra, psi):
 
 
 def check_cyclic_sum(A: Algebra, phi):
-    """None, or the first triple where the cyclic sum of d2(phi) is nonzero."""
+    """None, or the first triple where the cyclic sum of d2(phi) is nonzero.
+
+    This certifies the code of ``delta2``, not the algebra: d2(phi) =
+    g - g o rot with g(x,y,z) = phi(x,[y,z]) + [x,phi(y,z)] and
+    rot(x,y,z) = (y,z,x), and the cyclic sum of any g - g o rot vanishes,
+    for every bilinear product.  A nonzero sum means ``delta2`` is wrong.
+    """
     w = check_anticommutative(A)
     if w is not None:
         raise ValueError(f"precondition failed: not anticommutative at {w}")
@@ -145,6 +151,9 @@ def cyclic_sum_witness(A: Algebra, psi):
     triple in lex order is such a least triple: its orbit's least triple
     fails too and is not larger.  So the least triples, scanned in lex
     order, give the same first witness as a scan of all triples.
+
+    On psi = d2(phi) the sum is zero for every bilinear product (see
+    ``check_cyclic_sum``), so there a witness points at the code of d2.
     """
     p, d = A.field.characteristic, A.dim
     cells = [v for plane in psi for row in plane for v in row]

@@ -14,7 +14,7 @@ Heisenberg algebra at that matrix size.
 
 from .algebra import (Algebra, Element, QuadIdentityCoeffs, _mul_into, _quad_test,
                       check_acaa)
-from .catalog import _chunked, _decode
+from .catalog import _decode
 from .linalg import Matrix, _int_rows
 
 
@@ -170,7 +170,7 @@ def is_faithful(rep: Representation) -> bool:
 
 
 _SEARCH_GUARD = 10_000_000
-_PAIR_BLOCK = 64
+_PAIR_BLOCK = 256
 
 
 def h3_faithfulness_search(p: int, d: int = 3, jobs: int = 1):
@@ -179,7 +179,10 @@ def h3_faithfulness_search(p: int, d: int = 3, jobs: int = 1):
 
     Returns None when the search is exhausted without a counterexample,
     otherwise the offending pair as integer matrices.  Only d = 3 and
-    p in {3, 5} are supported.
+    p in {3, 5} are supported.  The square-zero filter runs as one
+    broadcast grid over all p^(d d) matrices, so ``jobs`` does not split
+    the search; it is accepted for the interface shared with
+    ``enumerate_finite``.
     """
     if d != 3:
         raise ValueError("the search is specific to 3x3 matrices")
@@ -189,44 +192,75 @@ def h3_faithfulness_search(p: int, d: int = 3, jobs: int = 1):
     if total > _SEARCH_GUARD:
         raise ValueError("matrix space exceeds the size guard")
 
-    nilpotents = _square_zero(p, d, jobs)
+    nilpotents = _square_zero(p, d)
     found = _first_anticommuting_pair(nilpotents, p)
     if found is None:
         return None
     return tuple(tuple(tuple(int(v) for v in row) for row in nilpotents[i]) for i in found)
 
 
-def _square_zero(p, d, jobs):
-    """Every d x d matrix X over F_p with X^2 = 0, in code order.
+def _square_zero(p, d):
+    """Every d x d matrix X over F_p with X^2 = 0, in code order, as int8.
 
-    The filter is staged and compacting: entry (i, k) of X^2 is tested only
-    on the matrices whose earlier entries vanished.
+    The candidates are the cells of the grid F_p^(d d), with digit q of the
+    code (entry (q // d, q % d)) on axis d d - 1 - q, so that the C-order
+    flat index of a cell is its code.  Entry (i, k) of X^2 reads only row i
+    and column k, so its test is a broadcast over at most 2d - 1 axes; the
+    d^2 tests are and-ed into one boolean grid, and only the cells left are
+    decoded.
     """
-    def keep(codes):
-        M = _decode(codes, d * d, p).reshape(len(codes), d, d)
-        for i in range(d):
-            for k in range(d):
-                M = M[(M[:, i, :] * M[:, :, k]).sum(axis=1) % p == 0]
-        return M
+    import numpy as np
 
-    return _chunked(p ** (d * d), keep, jobs)
+    n = d * d
+
+    def entry(i, k):
+        shape = [1] * n
+        shape[n - 1 - (i * d + k)] = p
+        return np.arange(p).reshape(shape)
+
+    grid = np.ones((p,) * n, dtype=bool)
+    for i in range(d):
+        for k in range(d):
+            grid &= sum(entry(i, m) * entry(m, k) for m in range(d)) % p == 0
+    codes = np.flatnonzero(grid)
+    return _decode(codes, n, p).reshape(len(codes), d, d)
 
 
 def _first_anticommuting_pair(mats, p):
     """The first (a, b) in lexicographic order with mats[a] mats[b] != 0 and
     mats[a] mats[b] = -mats[b] mats[a] mod p, or None.
 
-    The products are formed in row blocks over a, scanned in order of a, so
-    only a block of the n x n x d x d product array is held at a time.
+    The pairs are scanned in row blocks over a, in order of a.  In a block,
+    entry (0, 0) of XY + YX is formed for every pair at once, as a sum of
+    outer products of matrix entries; the index pairs where it vanishes are
+    kept in row-major order and compacted, entry by entry, over the other
+    entries of XY + YX, and XY != 0 is tested last.  Compaction keeps the
+    order, so the first pair left is the block's first witness.  Sums are
+    in int32, which holds 2d (p - 1)^2.
     """
     import numpy as np
 
-    for lo in range(0, len(mats), _PAIR_BLOCK):
-        rows = mats[lo:lo + _PAIR_BLOCK]
-        xy = rows[:, None] @ mats[None] % p
-        yx = mats[None] @ rows[:, None]
-        bad = ((xy + yx) % p == 0).all(axis=(2, 3)) & (xy != 0).any(axis=(2, 3))
-        if bad.any():
-            a, b = np.argwhere(bad)[0]
-            return lo + int(a), int(b)
+    n, d = len(mats), mats.shape[-1]
+    cols = np.ascontiguousarray(np.asarray(mats, dtype=np.int32).reshape(n, d * d).T)
+
+    def entry(X, a, Y, b, i, k):
+        return sum(X[i * d + m][a] * Y[m * d + k][b] for m in range(d))
+
+    for lo in range(0, n, _PAIR_BLOCK):
+        X = cols[:, lo:lo + _PAIR_BLOCK]
+        s00 = sum(np.multiply.outer(X[m], cols[m * d]) + np.multiply.outer(X[m * d], cols[m])
+                  for m in range(d))
+        a, b = np.nonzero(s00 % p == 0)
+        for i in range(d):
+            for k in range(d):
+                if i or k:
+                    keep = (entry(X, a, cols, b, i, k) + entry(cols, b, X, a, i, k)) % p == 0
+                    a, b = a[keep], b[keep]
+        xy = np.zeros(len(a), dtype=bool)
+        for i in range(d):
+            for k in range(d):
+                xy |= entry(X, a, cols, b, i, k) % p != 0
+        if xy.any():
+            first = int(np.argmax(xy))
+            return lo + int(a[first]), int(b[first])
     return None

@@ -118,8 +118,44 @@ def test_enumerate_dim3_mod5():
     assert enumerate_finite(3, 5) == (125, 2)
 
 
+def reference_decode(codes, count, p):
+    # the former int64 divmod decode
+    out = np.empty((count, len(codes)), dtype=np.int64)
+    c = np.asarray(codes, dtype=np.int64)
+    for q in range(count):
+        c, out[q] = np.divmod(c, p)
+    return out.T
+
+
+def assert_decode_matches_divmod(codes, count, p):
+    got = _decode(codes, count, p)
+    assert got.dtype == np.int8 and got.shape == (len(codes), count)
+    assert np.array_equal(got, reference_decode(codes, count, p))
+
+
+def test_decode_is_int8_and_matches_divmod_on_all_of_f3_9():
+    assert_decode_matches_divmod(np.arange(3 ** 9, dtype=np.int64), 9, 3)
+
+
+def test_decode_matches_divmod_on_random_codes_mod5():
+    rng = np.random.default_rng(7)
+    codes = np.concatenate([rng.integers(0, 5 ** 9, 50000), [0, 5 ** 9 - 1]])
+    assert_decode_matches_divmod(codes, 9, 5)
+
+
+def test_decode_matches_divmod_on_non_contiguous_survivor_codes():
+    survivors = _scan(3, 5, 1)
+    assert len(survivors) == 125 and (np.diff(survivors) > 1).any()
+    assert_decode_matches_divmod(survivors, 9, 5)
+    # a strided view of the codes, not a contiguous array
+    codes = np.arange(5 ** 9, dtype=np.int64)[::997]
+    assert not codes.flags["C_CONTIGUOUS"]
+    assert_decode_matches_divmod(codes, 9, 5)
+
+
 def reference_acaa_mask(C, dim, p, pairs):
     # every basis-triple check on every tensor, in int64, with no staging
+    C = C.astype(np.int64)
     n = C.shape[0]
     pair_index = {pr: q for q, pr in enumerate(pairs)}
 

@@ -126,6 +126,28 @@ def test_rep_check_h3_search(capsys):
     assert data["payload"]["search"] == "exhausted"
 
 
+ORACLE_PINS = {
+    ("enumerate", "--dim", "3", "--p", "5"): (
+        "command: enumerate\nstatus: value\nacaa_count: 125\ndim: 3\niso_classes: 2\n"
+        "p: 5\n",
+        '{\n  "command": "enumerate",\n  "payload": {\n    "acaa_count": 125,\n'
+        '    "dim": 3,\n    "iso_classes": 2,\n    "p": 5\n  },\n  "status": "value",\n'
+        '  "witness": null\n}\n'),
+    ("rep-check", "--h3-search", "--p", "5"): (
+        'command: rep-check\nstatus: value\nd: 3\np: 5\nsearch: "exhausted"\n',
+        '{\n  "command": "rep-check",\n  "payload": {\n    "d": 3,\n    "p": 5,\n'
+        '    "search": "exhausted"\n  },\n  "status": "value",\n  "witness": null\n}\n'),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ORACLE_PINS))
+def test_oracle_output_is_pinned(capsys, argv):
+    text, js = ORACLE_PINS[argv]
+    assert run(capsys, *argv) == (0, text)
+    assert run(capsys, *argv, "--format", "json") == (0, js)
+    assert run(capsys, *argv, "--jobs", "4") == run(capsys, *argv, "--jobs", "1") == (0, text)
+
+
 def test_cohomology_checks(capsys, tmp_path):
     for check in ("d2d1", "cyclic"):
         code, data = run_json(capsys, "cohomology", "--check", check,
@@ -237,6 +259,7 @@ def test_malformed_algebra_exits_2_with_one_error_line(capsys, tmp_path, doc):
     ["cohomology", "--check", "d2d1", "--algebra", "h5", "--samples", "-3"],
     ["enumerate", "--dim", "2", "--p", "3", "--jobs", "0"],
     ["rep-check", "--h3-search", "--jobs", "-1"],
+    ["rep-check", "--h3-search", "--p", "5", "--jobs", "0"],
     ["series", "inverse", "--order", "0"],
     ["operad", "dims", "--count", "0"],
 ])

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from acaa.algebra import Algebra, change_basis, derived_cube_rows, random_element
+from acaa.algebra import (Algebra, change_basis, check_acaa, derived_cube_rows,
+                          random_element)
 from acaa.catalog import all_entries, entry
 from acaa.cohomology import (GradedAlgebra, check_cyclic_sum, cyclic_sum_witness,
                              d2_after_d1, d3_after_d2, delta0, delta1, delta2,
@@ -77,6 +78,36 @@ def test_delta2_lands_in_c3_and_cyclic_sum_vanishes():
             assert is_sym12(A, psi)
             assert cyclic_sum_witness(A, psi) is None
             assert check_cyclic_sum(A, phi) is None
+
+
+def random_table(field, d, rng, skew):
+    """Random structure constants in [-3, 3], skew or with no symmetry."""
+    products = {(i, j): {k: field.from_int(rng.randint(-3, 3)) for k in range(d)}
+                for i in range(d) for j in range(i + 1 if skew else 0, d)}
+    return Algebra.from_products(field, d, products, skew=skew)
+
+
+@pytest.mark.parametrize("field", (Q, PrimeField(5)), ids=("Q", "F5"))
+def test_cyclic_sum_of_d2_vanishes_for_every_product(field):
+    # d2(phi) = g - g o rot with g(x,y,z) = phi(x,[y,z]) + [x,phi(y,z)], so
+    # its cyclic sum is zero whatever the product: the certificate checks
+    # the code of d2, not the algebra
+    so3 = Algebra.from_products(field, 3, {(0, 1): {2: field.one}, (1, 2): {0: field.one},
+                                           (0, 2): {1: -field.one}}, skew=True)
+    rng = random.Random(23)
+    failing = 0
+    for _ in range(5):
+        phi = random_skew_cochain(so3, rng)
+        assert check_cyclic_sum(so3, phi) is None
+    for d in (2, 3, 4):
+        for _ in range(4):
+            skew = random_table(field, d, rng, skew=True)
+            failing += check_acaa(skew) is not None
+            assert check_cyclic_sum(skew, random_skew_cochain(skew, rng)) is None
+            plain = random_table(field, d, rng, skew=False)
+            phi = random_skew_cochain(plain, rng)
+            assert cyclic_sum_witness(plain, delta2(plain, phi)) is None
+    assert check_acaa(so3) is not None and failing >= 8
 
 
 def test_delta2_rejects_non_skew_input():

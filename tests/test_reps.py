@@ -181,55 +181,143 @@ def test_h3_search_validation():
         h3_faithfulness_search(3, d=4)
 
 
+def reference_pair(mats, p):
+    """The first anticommuting pair with a nonzero product, read off the
+    full n x n x d x d product array in int64."""
+    import numpy as np
+
+    mats = np.asarray(mats).astype(np.int64)
+    products = np.einsum("aij,bjk->abik", mats, mats) % p
+    anti = ((products + products.transpose(1, 0, 2, 3)) % p == 0).all(axis=(2, 3))
+    bad = anti & (products != 0).any(axis=(2, 3))
+    return tuple(int(v) for v in np.argwhere(bad)[0]) if bad.any() else None
+
+
 def test_blocked_pair_scan_matches_full_product_array(monkeypatch):
     import numpy as np
 
-    from acaa import reps
-
-    def reference(mats, p):
-        products = np.einsum("aij,bjk->abik", mats, mats) % p
-        anti = ((products + products.transpose(1, 0, 2, 3)) % p == 0).all(axis=(2, 3))
-        bad = anti & (products != 0).any(axis=(2, 3))
-        return tuple(int(v) for v in np.argwhere(bad)[0]) if bad.any() else None
-
+    # int8 input, as _square_zero gives it
     rng = np.random.default_rng(5)
-    for d, p in ((2, 3), (3, 5)):
+    for d, p in ((2, 3), (3, 3), (3, 5)):
         with monkeypatch.context() as m:
             m.setattr(reps, "_PAIR_BLOCK", 3)
             found = 0
             for _ in range(40):
-                mats = rng.integers(0, p, size=(10, d, d)) * (rng.random((10, d, d)) < 0.3)
-                want = reference(mats, p)
+                mats = (rng.integers(0, p, size=(10, d, d))
+                        * (rng.random((10, d, d)) < 0.3)).astype(np.int8)
+                want = reference_pair(mats, p)
                 assert reps._first_anticommuting_pair(mats, p) == want
                 found += want is not None
             assert 0 < found < 40
 
-        # a planted pair X Y = -Y X != 0 among zero matrices, past the first
-        # row block of the default size
+        # a planted pair X Y = -Y X != 0 among zero matrices
         mats = np.zeros((200, d, d), dtype=np.int64)
         mats[70, 0, 1] = mats[70, 1, 0] = 1
         mats[130, 0, 0], mats[130, 1, 1] = 1, p - 1
-        assert reference(mats, p) == (70, 130)
+        assert reference_pair(mats, p) == (70, 130)
         assert reps._first_anticommuting_pair(mats, p) == (70, 130)
+
+
+def test_staged_pair_scan_sums_leave_int8():
+    # a dense anticommuting pair mod 11, the planted pair conjugated by a
+    # matrix P: the integer sums of XY + YX leave int8
+    import numpy as np
+
+    p = 11
+    P = np.array([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+    Pinv = np.array([[3, 6, 1], [3, 0, 9], [1, 9, 1]])
+    assert ((P @ Pinv) % p == np.eye(3, dtype=int)).all()
+    X0 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    Y0 = np.array([[1, 0, 0], [0, p - 1, 0], [0, 0, 0]])
+    mats = np.zeros((10, 3, 3), dtype=np.int8)
+    mats[3], mats[7] = P @ X0 @ Pinv % p, P @ Y0 @ Pinv % p
+    X, Y = mats[3].astype(np.int64), mats[7].astype(np.int64)
+    assert (X @ Y + Y @ X).max() > 127
+    assert reference_pair(mats, p) == (3, 7)
+    assert reps._first_anticommuting_pair(mats, p) == (3, 7)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_staged_pair_scan_when_entry_00_vanishes_for_every_pair(p):
+    # first row and first column zero: entry (0, 0) of XY + YX is 0 for all
+    # pairs, so the first stage keeps all n^2 of them
+    import numpy as np
+
+    rng = np.random.default_rng(p)
+    found = 0
+    for _ in range(20):
+        n = int(rng.integers(2, 30))
+        mats = rng.integers(0, p, size=(n, 3, 3)) * (rng.random((n, 3, 3)) < 0.4)
+        mats[:, 0, :] = mats[:, :, 0] = 0
+        s = np.einsum("aij,bjk->abik", mats, mats)
+        assert ((s + s.transpose(1, 0, 2, 3))[:, :, 0, 0] % p == 0).all()
+        want = reference_pair(mats, p)
+        assert reps._first_anticommuting_pair(mats, p) == want
+        found += want is not None
+    assert 0 < found < 20
+
+
+@pytest.mark.parametrize("d,p", [(2, 3), (3, 5)])
+def test_staged_pair_scan_finds_a_pair_planted_after_the_first_row_block(d, p):
+    import numpy as np
+
+    n = reps._PAIR_BLOCK + 100
+    mats = np.zeros((n, d, d), dtype=np.int8)
+    a, b = reps._PAIR_BLOCK + 10, reps._PAIR_BLOCK + 50
+    mats[a, 0, 1] = mats[a, 1, 0] = 1
+    mats[b, 0, 0], mats[b, 1, 1] = 1, p - 1
+    assert reference_pair(mats, p) == (a, b)
+    assert reps._first_anticommuting_pair(mats, p) == (a, b)
+    # a second witness earlier in the same block wins
+    mats[reps._PAIR_BLOCK + 5] = mats[a]
+    assert reps._first_anticommuting_pair(mats, p) == (reps._PAIR_BLOCK + 5, b)
+
+
+def reference_square_zero(p, d):
+    """The former chunked, staged square-zero filter, on int64 digits."""
+    import numpy as np
+
+    from acaa.catalog import _CHUNK
+
+    total, kept = p ** (d * d), []
+    for lo in range(0, total, _CHUNK):
+        c = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
+        digits = np.empty((d * d, len(c)), dtype=np.int64)
+        for q in range(d * d):
+            c, digits[q] = np.divmod(c, p)
+        M = digits.T.reshape(-1, d, d)
+        for i in range(d):
+            for k in range(d):
+                M = M[(M[:, i, :] * M[:, :, k]).sum(axis=1) % p == 0]
+        kept.append(M)
+    return np.concatenate(kept)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_grid_square_zero_equals_the_chunked_filter(p):
+    import numpy as np
+
+    got = reps._square_zero(p, 3)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, reference_square_zero(p, 3))
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_square_zero_count_matches_closed_form(p):
     import numpy as np
 
-    from acaa import reps
     from acaa.catalog import _CHUNK, _decode
 
     # X^2 = 0 on F_p^3 forces rank X <= 1, so X = 0 or X = u v^T with
     # v.u = 0: p^3 - 1 choices of u, p^2 - 1 of v, and p - 1 pairs (u, v)
     # give the same matrix
-    nilpotents = reps._square_zero(p, 3, 1)
+    nilpotents = reps._square_zero(p, 3)
     assert len(nilpotents) == 1 + (p ** 3 - 1) * (p + 1) == {3: 105, 5: 745}[p]
 
-    codes = nilpotents.reshape(len(nilpotents), 9) @ (p ** np.arange(9))
+    codes = nilpotents.reshape(len(nilpotents), 9).astype(np.int64) @ (p ** np.arange(9))
     assert (np.diff(codes) > 0).all()
     n = min(_CHUNK, p ** 9)
-    chunk = _decode(np.arange(n, dtype=np.int64), 9, p).reshape(n, 3, 3)
+    chunk = _decode(np.arange(n, dtype=np.int64), 9, p).reshape(n, 3, 3).astype(np.int64)
     want = chunk[(np.einsum("nij,njk->nik", chunk, chunk) % p == 0).all(axis=(1, 2))]
     assert np.array_equal(nilpotents[codes < n], want)
 
