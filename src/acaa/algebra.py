@@ -51,7 +51,7 @@ class Algebra:
     validated at construction time.
     """
 
-    __slots__ = ("field", "dim", "tensor", "labels", "symmetry", "name", "_nz", "_int")
+    __slots__ = ("field", "dim", "tensor", "labels", "symmetry", "name", "_int")
 
     def __init__(self, field, dim, tensor, labels=None, symmetry="none", name=None):
         tensor = tuple(tuple(tuple(row) for row in plane) for plane in tensor)
@@ -70,7 +70,7 @@ class Algebra:
         self.labels = labels
         self.symmetry = symmetry
         self.name = name
-        self._nz = self._int = None  # built on first use, see nonzero and int_table
+        self._int = None  # built on first use, see int_table
         if symmetry == "skew":
             w = check_anticommutative(self)
             if w is not None:
@@ -108,18 +108,6 @@ class Algebra:
         """Coordinates of e_i * e_j."""
         return self.tensor[i][j]
 
-    def nonzero(self, i: int, j: int):
-        """Nonzero coordinates of e_i * e_j as (index, coefficient) pairs."""
-        nz = self._nz
-        if nz is None:
-            nz = self._build_nz()
-        return nz[i][j]
-
-    def _build_nz(self):
-        self._nz = tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c)
-                               for row in plane) for plane in self.tensor)
-        return self._nz
-
     def int_table(self):
         """The structure constants as Python ints (built on first use).
 
@@ -142,21 +130,19 @@ class Algebra:
         return self._int
 
     def multiply_coords(self, x, y):
-        nz = self._nz
-        if nz is None:
-            nz = self._build_nz()
-        zero = self.field.zero
-        acc = [zero] * self.dim
-        for i, xi in enumerate(x):
+        """Coordinates of x * y, in field arithmetic on ``tensor``.  This is
+        the Element route; it does not read ``int_table``."""
+        acc = [self.field.zero] * self.dim
+        for xi, plane in zip(x, self.tensor):
             if not xi:
                 continue
-            nz_i = nz[i]
-            for j, yj in enumerate(y):
+            for yj, row in zip(y, plane):
                 if not yj:
                     continue
                 s = xi * yj
-                for k, c in nz_i[j]:
-                    acc[k] = acc[k] + s * c
+                for k, c in enumerate(row):
+                    if c:
+                        acc[k] = acc[k] + s * c
         return tuple(acc)
 
     def basis(self, i: int) -> "Element":
@@ -498,15 +484,9 @@ def direct_sum(A: Algebra, B: Algebra) -> Algebra:
         raise ValueError("direct sum over different fields")
     d = A.dim + B.dim
     zero = A.field.zero
-    tensor = [[[zero] * d for _ in range(d)] for _ in range(d)]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            for k, c in A.nonzero(i, j):
-                tensor[i][j][k] = c
-    for i in range(B.dim):
-        for j in range(B.dim):
-            for k, c in B.nonzero(i, j):
-                tensor[A.dim + i][A.dim + j][A.dim + k] = c
+    left, right, row0 = (zero,) * A.dim, (zero,) * B.dim, (zero,) * d
+    tensor = [[row + right for row in plane] + [row0] * B.dim for plane in A.tensor]
+    tensor += [[row0] * A.dim + [left + row for row in plane] for plane in B.tensor]
     labels = None
     if A.labels and B.labels:
         labels = A.labels + B.labels

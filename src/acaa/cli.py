@@ -23,8 +23,8 @@ from .algebra import (antiassociativity_coeffs, check_acaa,
                       fingerprint, jacobi_coeffs, QuadIdentityCoeffs)
 from .free import free_acaa, graded_dims
 from .linalg import rank_kernel
-from .reps import (adjoint_representation, ad_matrix, check_representation,
-                   h3_faithfulness_search, is_faithful)
+from .reps import (_independent, adjoint_representation, ad_matrix, check_representation,
+                   h3_faithfulness_search)
 from .serialize import (algebra_to_json, load_algebra, matrix_to_json,
                         representation_from_json, save_algebra)
 
@@ -184,7 +184,7 @@ def cmd_rep_check(args) -> CommandReport:
                              witness=_labels(rep.algebra, idx),
                              payload={"law": law})
     return CommandReport("rep-check", "holds",
-                         payload={"faithful": is_faithful(rep),
+                         payload={"faithful": _independent(rep),
                                   "target_dim": rep.target_dim})
 
 

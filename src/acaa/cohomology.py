@@ -115,10 +115,12 @@ def delta3(A: Algebra, psi):
     vec = _from_ints(A.field, lam * mu)
 
     def cell(i1, i2, i3, i4):
+        acc = [0] * d
         br = t[i3][i4]
-        acc = _mul_into([0] * d, S[i1][i2], br)
-        _mul_into(acc, M[i1][i2], br)
-        _mul_into(acc, M[i2][i1], br)
+        if br:
+            _mul_into(acc, S[i1][i2], br)
+            _mul_into(acc, M[i1][i2], br)
+            _mul_into(acc, M[i2][i1], br)
         for tail in (S[i2][i3][i4], S[i2][i4][i3], S[i4][i3][i2]):
             _mul_into(acc, t[i1], tail)
         return vec(acc)
@@ -209,9 +211,9 @@ class GradedAlgebra:
         w = check_acaa(A)
         if w is not None:
             raise ValueError(f"triple-bracket law fails at {w}")
-        for i in range(A.dim):
-            for j in range(A.dim):
-                for k, _ in A.nonzero(i, j):
+        for i, plane in enumerate(A.int_table()[2]):
+            for j, row in enumerate(plane):
+                for k, _ in row:
                     if self.degrees[k] != self.degrees[i] + self.degrees[j]:
                         raise ValueError(
                             f"product e_{i} e_{j} lands in degree"
@@ -247,15 +249,12 @@ def g_map(G: GradedAlgebra, x: int) -> Matrix:
     if not 0 <= x < A.dim:
         raise ValueError("basis index out of range")
     i = G.degrees[x]
-    zero, one = A.field.zero, A.field.one
+    zero = A.field.zero
     cols = []
     for jdx in range(A.dim):
         j = G.degrees[jdx]
         coef = A.field.from_int((1 if (i + j) % 2 == 0 else -1) * i * j)
-        col = [zero] * A.dim
-        for k, c in A.nonzero(x, jdx):
-            col[k] = coef * c
-        cols.append(col)
+        cols.append([coef * c if c else zero for c in A.tensor[x][jdx]])
     return Matrix(A.field, list(zip(*cols)))
 
 

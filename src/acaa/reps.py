@@ -48,15 +48,6 @@ class Representation:
         self.target_dim = target_dim
         self.images = images
 
-    def image(self, x: Element) -> Matrix:
-        if x.algebra is not self.algebra:
-            raise ValueError("element does not belong to the source algebra")
-        acc = Matrix.zero(self.algebra.field, self.target_dim, self.target_dim)
-        for i, c in enumerate(x.coords):
-            if c:
-                acc = acc + self.images[i].scale(c)
-        return acc
-
     def __repr__(self):
         return f"Representation({self.algebra!r} -> gl_{self.target_dim})"
 
@@ -137,36 +128,61 @@ def check_weighted_antiderivation(A: Algebra, f: Matrix, weight: int):
 def check_representation(rep: Representation):
     """Verify the representation axiom on all basis pairs.
 
-    Checks rho(e_i)^2 = 0, rho(e_i) rho(e_j) = -rho(e_j) rho(e_i) and
-    rho([e_i, e_j]) = -rho(e_i) rho(e_j).  The source algebra must satisfy
-    the triple-bracket law.
+    Checks rho(e_i)^2 = 0 for every i, then for each pair (i, j) in order
+    rho(e_i) rho(e_j) = -rho(e_j) rho(e_i) ("anticommutation") and
+    rho([e_i, e_j]) = -rho(e_i) rho(e_j) ("bracket").  The source algebra
+    must satisfy the triple-bracket law.
+
+    A law on operators holds when it holds on every e_k.  The images X_m
+    are scaled together to integers by ``linalg._int_rows`` (factor mu),
+    and column k of X_m is the sparse integer row planes[m][k], so that
+    X_i X_j e_k is ``_mul_into(acc, planes[i], planes[j][k])``.  The first
+    two laws are homogeneous of degree 2 in the images.  The bracket law is
+    not: rho([e_i, e_j]) = sum_m c_ijm X_m is of degree 1 in the images and
+    in c.  With c scaled by lam (``Algebra.int_table``), the integer vector
+    mu * sum_m (lam c_ijm) (mu X_m) e_k + lam (mu X_i) (mu X_j) e_k is
+    lam mu^2 times the field one, so it vanishes (mod p over F_p, where
+    lam = mu = 1) exactly when the law holds at e_k.
     """
     A = rep.algebra
     w = check_acaa(A)
     if w is not None:
         raise ValueError(f"precondition failed: triple-bracket law fails at {w}")
-    imgs = rep.images
-    for i in range(A.dim):
-        if not (imgs[i] * imgs[i]).is_zero():
+    p, lam, t = A.int_table()
+    n, r, s = rep.target_dim, range(A.dim), range(rep.target_dim)
+    mu, cols = _int_rows(A.field, (col for m in rep.images for col in zip(*m.entries)))
+    planes = [cols[m * n:(m + 1) * n] for m in r]
+    at = [[planes[m][k] for m in r] for k in s]  # at[k][m] is X_m e_k
+
+    def nonzero(acc):
+        return any(v % p for v in acc) if p else any(acc)
+    for i in r:
+        if any(nonzero(_mul_into([0] * n, planes[i], planes[i][k])) for k in s):
             return ("square", (i,))
-    for i in range(A.dim):
-        for j in range(A.dim):
-            ij = imgs[i] * imgs[j]
-            if not (ij + imgs[j] * imgs[i]).is_zero():
+    for i in r:
+        for j in r:
+            ij = [_mul_into([0] * n, planes[i], planes[j][k]) for k in s]
+            if any(nonzero(_mul_into(v[:], planes[j], planes[i][k])) for k, v in enumerate(ij)):
                 return ("anticommutation", (i, j))
-            rho_bracket = rep.image(A.element(A.product(i, j)))
-            if not (rho_bracket + ij).is_zero():
+            if any(nonzero(_mul_into([lam * x for x in v], at[k], t[i][j], mu))
+                   for k, v in enumerate(ij)):
                 return ("bracket", (i, j))
     return None
 
 
-def is_faithful(rep: Representation) -> bool:
+def _independent(rep: Representation) -> bool:
     """True iff the basis images are linearly independent."""
+    rows = [[v for row in m.entries for v in row] for m in rep.images]
+    return Matrix(rep.algebra.field, rows).rank() == rep.algebra.dim
+
+
+def is_faithful(rep: Representation) -> bool:
+    """True iff rep is a representation (see ``check_representation``)
+    whose basis images are linearly independent; raises otherwise."""
     w = check_representation(rep)
     if w is not None:
         raise ValueError(f"not a representation: {w[0]} fails at {w[1]}")
-    rows = [[v for row in m.entries for v in row] for m in rep.images]
-    return Matrix(rep.algebra.field, rows).rank() == rep.algebra.dim
+    return _independent(rep)
 
 
 _SEARCH_GUARD = 10_000_000

@@ -26,10 +26,9 @@ def algebra_to_json(A: Algebra) -> dict:
         for j in range(A.dim):
             if A.symmetry == "skew" and i >= j:
                 continue
-            nz = A.nonzero(i, j)
-            if not nz:
+            value = {str(k): A.field.to_json(c) for k, c in enumerate(A.tensor[i][j]) if c}
+            if not value:
                 continue
-            value = {str(k): A.field.to_json(c) for k, c in nz}
             products.append({"left": i, "right": j, "value": value})
     data["products"] = products
     return data

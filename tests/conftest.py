@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from acaa.algebra import Algebra
+from acaa.algebra import Algebra, check_acaa
 from acaa.fields import PrimeField, Q
 from acaa.linalg import Matrix
 
@@ -167,8 +167,9 @@ def _reference_bracket_vec(A, i, vec):
     for m, vm in enumerate(vec):
         if not vm:
             continue
-        for k, c in A.nonzero(i, m):
-            acc[k] = acc[k] + vm * c
+        for k, c in enumerate(A.tensor[i][m]):
+            if c:
+                acc[k] = acc[k] + vm * c
     return acc
 
 
@@ -278,6 +279,34 @@ def reference_check_weighted_antiderivation(A, f, weight):
             right = A.multiply_coords(f_basis[i], _basis_vec(A, j))
             if any(a + b + c for a, b, c in zip(v, left, right)):
                 return (i, j)
+    return None
+
+
+def reference_check_representation(rep):
+    """The former ``Matrix``-product check of the representation axiom: the
+    squares first, then for each pair anticommutation before bracket."""
+    A = rep.algebra
+    w = check_acaa(A)
+    if w is not None:
+        raise ValueError(f"precondition failed: triple-bracket law fails at {w}")
+    imgs = rep.images
+
+    def image(coords):
+        acc = Matrix.zero(A.field, rep.target_dim, rep.target_dim)
+        for i, c in enumerate(coords):
+            if c:
+                acc = acc + imgs[i].scale(c)
+        return acc
+    for i in range(A.dim):
+        if not (imgs[i] * imgs[i]).is_zero():
+            return ("square", (i,))
+    for i in range(A.dim):
+        for j in range(A.dim):
+            ij = imgs[i] * imgs[j]
+            if not (ij + imgs[j] * imgs[i]).is_zero():
+                return ("anticommutation", (i, j))
+            if not (image(A.product(i, j)) + ij).is_zero():
+                return ("bracket", (i, j))
     return None
 
 

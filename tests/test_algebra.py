@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acaa.algebra import (Algebra, QuadIdentityCoeffs, acaa_coeffs,
+from acaa.algebra import (Algebra, QuadIdentityCoeffs, _mul_into, acaa_coeffs,
                           antiassociativity_coeffs, change_basis, check_acaa,
                           check_acaa_admissible, check_anticommutative,
                           check_quadratic_identity, check_rho_associative,
@@ -15,7 +15,8 @@ from acaa.algebra import (Algebra, QuadIdentityCoeffs, acaa_coeffs,
 from acaa.catalog import all_entries, entry
 from acaa.fields import PrimeField, Q
 from acaa.free import free_acaa
-from acaa.linalg import Matrix, _int_rank, _int_reduce, random_invertible, span
+from acaa.linalg import (Matrix, _from_ints, _int_rank, _int_reduce, _int_rows,
+                         random_invertible, span)
 
 from conftest import (FIELDS, KERNEL_SETTINGS, commutative_2, full_matrix_2x2,
                       plain_algebras, random_invertible_over, reference_change_basis,
@@ -241,6 +242,17 @@ def test_direct_sum_matches_catalog():
     assert direct_sum(direct_sum(h3, K), K) == entry("h3+K2").algebra
 
 
+def test_direct_sum_shifts_the_second_summand():
+    h3 = entry("h3").algebra
+    K = Algebra.from_products(Q, 1, {}, skew=True)
+    assert direct_sum(K, h3) == Algebra.from_products(Q, 4, {(1, 2): {3: 1}}, skew=True)
+    assert direct_sum(h3, h3) == Algebra.from_products(
+        Q, 6, {(0, 1): {2: 1}, (3, 4): {5: 1}}, skew=True)
+    assert direct_sum(commutative_2(), upper_triangular_2x2()) == Algebra.from_products(
+        Q, 5, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+               (2, 2): {2: 1}, (2, 3): {3: 1}, (3, 4): {3: 1}, (4, 4): {4: 1}})
+
+
 def test_direct_sum_with_zero_dim():
     h3 = entry("h3").algebra
     zero_alg = Algebra.from_products(Q, 0, {}, skew=True)
@@ -301,16 +313,17 @@ def reference_check_acaa(A):
     zero = A.field.zero
 
     def bracket_into(i, vec, acc):
-        for m, c in vec:
-            for k, c2 in A.nonzero(i, m):
-                acc[k] = acc[k] + c * c2
+        for m, c in enumerate(vec):
+            if c:
+                for k, c2 in enumerate(A.tensor[i][m]):
+                    acc[k] = acc[k] + c * c2
 
     for i in range(A.dim):
         for j in range(A.dim):
             for k in range(A.dim):
                 acc = [zero] * A.dim
-                bracket_into(i, A.nonzero(j, k), acc)
-                bracket_into(k, A.nonzero(j, i), acc)
+                bracket_into(i, A.tensor[j][k], acc)
+                bracket_into(k, A.tensor[j][i], acc)
                 if any(acc):
                     return (i, j, k)
     return None
@@ -351,6 +364,24 @@ def test_fingerprint_matches_fraction_reference(A):
 @given(plain_algebras())
 def test_fingerprint_matches_fraction_reference_without_symmetry(A):
     assert fingerprint(A).as_tuple() == reference_fingerprint(A)
+
+
+@KERNEL_SETTINGS
+@given(plain_algebras(), st.integers(0, 2 ** 32))
+def test_multiply_coords_matches_the_integer_route(A, seed):
+    # the Element route reads the field tensor, the kernel reads int_table:
+    # x y = sum_i x_i (e_i y), lam mu^2 times the field product in integers
+    rng = random.Random(seed)
+    _, lam, t = A.int_table()
+    for density in (0.3, 1.0):
+        x, y = ([scalar(A.field, rng.randint(-3, 3), rng.randint(1, 4))
+                 if rng.random() < density else A.field.zero for _ in range(A.dim)]
+                for _ in range(2))
+        mu, (xs, ys) = _int_rows(A.field, (x, y))
+        acc = [0] * A.dim
+        for i, c in xs:
+            _mul_into(acc, t[i], ys, c)
+        assert A.multiply_coords(x, y) == _from_ints(A.field, lam * mu * mu)(acc)
 
 
 def test_kernel_matches_reference_on_catalog_and_non_acaa_examples():

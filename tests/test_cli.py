@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from acaa import reps
+from acaa.algebra import check_acaa
 from acaa.cli import main
 from acaa.serialize import save_algebra
 
@@ -118,6 +120,29 @@ def test_rep_check_adjoint(capsys):
     assert code == 0
     assert data["status"] == "holds"
     assert data["payload"]["faithful"] is False
+
+
+def test_rep_check_scans_the_laws_once(capsys, tmp_path, monkeypatch):
+    # the exterior algebra on a, b (basis 1, a, b, ab) acting on itself by
+    # left multiplication: e1 -> L_a, e2 -> L_b, e3 -> -L_ab is a faithful
+    # representation of h3; the precondition runs once per scan
+    def unit(r, c, v=1):
+        m = [[0] * 4 for _ in range(4)]
+        m[r][c] = v
+        return m
+    L_a = unit(1, 0)
+    L_a[3][2] = 1
+    L_b = unit(2, 0)
+    L_b[3][1] = -1
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"source": "h3", "target_dim": 4,
+                                "images": [L_a, L_b, unit(3, 0, -1)]}))
+    calls = []
+    monkeypatch.setattr(reps, "check_acaa", lambda A: calls.append(A) or check_acaa(A))
+    code, data = run_json(capsys, "rep-check", str(path))
+    assert code == 0 and data["status"] == "holds"
+    assert data["payload"] == {"faithful": True, "target_dim": 4}
+    assert len(calls) == 1
 
 
 def test_rep_check_h3_search(capsys):

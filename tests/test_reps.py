@@ -6,18 +6,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from acaa import reps
-from acaa.algebra import Algebra, random_element
+from acaa.algebra import Algebra, change_basis, check_acaa, random_element
 from acaa.catalog import all_entries, entry
 from acaa.fields import Q
 from acaa.free import free_acaa
-from acaa.linalg import Matrix, rank_kernel
+from acaa.linalg import Matrix, rank_kernel, span
 from acaa.reps import (Representation, ad_matrix, adjoint_representation,
                        check_ad_identities, check_representation,
                        check_weighted_antiderivation, h3_faithfulness_search,
                        is_faithful)
 from acaa.serialize import representation_from_json, representation_to_json
 
-from conftest import (FIELDS, KERNEL_SETTINGS, plain_algebras,
+from conftest import (FIELDS, KERNEL_SETTINGS, plain_algebras, random_invertible_over,
+                      reference_check_representation,
                       reference_check_weighted_antiderivation, scalar, simple_lie_3,
                       skew_algebras)
 
@@ -455,3 +456,107 @@ def test_weighted_antiderivation_witness_order_on_sparse_tables():
             assert w == reference_check_weighted_antiderivation(A, f, weight)
             witnesses.add(w)
     assert None in witnesses and len(witnesses) > 10
+
+
+# --- the representation scan against the Matrix-product reference -----------
+
+REP_KINDS = ("adjoint", "scaled", "nilpotent", "elementary", "moved-adjoint",
+             "moved-scaled", "moved-nilpotent")
+
+
+def square_zero_matrix(F, n, rng):
+    """A random u v^T with v . u = 0, so that it squares to zero."""
+    u, v = ([scalar(F, rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(2))
+    q = next((q for q, x in enumerate(u) if x), None)
+    if q is not None:
+        v[q] = v[q] - sum((a * b for a, b in zip(u, v)), F.zero) / u[q]
+    return Matrix(F, [[a * b for b in v] for a in u])
+
+
+def random_representation(A, rng, kind):
+    """Images for an ACAA A, fractional over Q: the adjoint; the adjoint
+    with each image scaled by a nonzero scalar (only the bracket law can
+    fail); s_m N for one square-zero N, a representation when s vanishes on
+    the derived algebra, as it does half of the time; multiples of
+    off-diagonal matrix units (squares vanish, anticommutation mostly
+    fails); or one of the first three with one entry of one image moved."""
+    F, d = A.field, A.dim
+
+    def entry_():
+        return scalar(F, rng.randint(-3, 3), rng.randint(1, 4))
+    base = kind.removeprefix("moved-")
+    if base == "elementary":
+        n = rng.randint(2, 4)
+        imgs = []
+        for _ in range(d):
+            r, c = rng.sample(range(n), 2)
+            imgs.append(Matrix(F, [[entry_() if (a, b) == (r, c) else F.zero for b in range(n)]
+                                   for a in range(n)]))
+    elif base == "nilpotent":
+        n = rng.randint(1, 4)
+        N = square_zero_matrix(F, n, rng)
+        kernel = Matrix(F, [A.product(i, j) for i in range(d) for j in range(d)]).kernel_vectors()
+        if kernel and rng.random() < 0.5:
+            s = [sum((entry_() * v[m] for v in kernel), F.zero) for m in range(d)]
+        else:
+            s = [entry_() for _ in range(d)]
+        imgs = [N.scale(c) for c in s]
+    else:
+        n, imgs = d, list(adjoint_representation(A).images)
+        if base == "scaled":
+            imgs = [m.scale(scalar(F, rng.choice((-2, -1, 2)), rng.randint(1, 3)))
+                    for m in imgs]
+    if kind.startswith("moved-"):
+        a, r, c = rng.randrange(d), rng.randrange(n), rng.randrange(n)
+        m = [list(row) for row in imgs[a].entries]
+        m[r][c] += scalar(F, rng.choice((-1, 1)), rng.randint(1, 3))
+        imgs[a] = Matrix(F, m)
+    return Representation(A, n, imgs)
+
+
+def assert_matches_matrix_reference(rep):
+    w = check_representation(rep)
+    assert w == reference_check_representation(rep)
+    if w is None:
+        flat = [[v for row in m.entries for v in row] for m in rep.images]
+        n = rep.target_dim
+        assert is_faithful(rep) == (span(rep.algebra.field, flat, n * n).dim == rep.algebra.dim)
+    else:
+        with pytest.raises(ValueError, match="not a representation"):
+            is_faithful(rep)
+    return w
+
+
+def nonabelian_acaa(A):
+    """Most drawn ACAA tables are abelian; their images meet fewer laws."""
+    return any(any(row) for plane in A.tensor for row in plane) and check_acaa(A) is None
+
+
+@KERNEL_SETTINGS
+@given(skew_algebras().filter(nonabelian_acaa), st.integers(0, 2 ** 32),
+       st.sampled_from(REP_KINDS))
+def test_representation_witness_matches_matrix_reference(A, seed, kind):
+    assert_matches_matrix_reference(random_representation(A, random.Random(seed), kind))
+
+
+def test_representation_witness_order_on_sparse_tables():
+    # sparse 2-step tables, the catalog and free3 under every kind of image:
+    # each law is the first witness somewhere.  free3 is not 2-step, so its
+    # adjoint has X_i X_j != 0; in a fractional basis the bracket law there
+    # holds only if the table scale lam is carried
+    rng = random.Random(47)
+    free3 = free_acaa(3).algebra
+    examples = [e.algebra for e in all_entries()]
+    examples += [free3, change_basis(free3, random_invertible_over(Q, 7, rng))]
+    for _ in range(30):
+        F = rng.choice(FIELDS)
+        pairs = rng.sample([(i, j) for i in range(3) for j in range(i + 1, 3)], rng.randint(1, 3))
+        examples.append(Algebra.from_products(
+            F, 5, {pair: {rng.randrange(3, 5): rng.randint(1, 2)} for pair in pairs}, skew=True))
+    laws = set()
+    for A in examples:
+        for kind in REP_KINDS:
+            w = assert_matches_matrix_reference(random_representation(A, rng, kind))
+            laws.add(w and w[0])
+    assert laws == {None, "square", "anticommutation", "bracket"}
