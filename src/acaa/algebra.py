@@ -12,7 +12,7 @@ Checkers return None when the identity holds, otherwise the first
 violating tuple of basis indices in lexicographic order.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .linalg import Matrix, _from_ints, _int_rank, _int_reduce, _int_scale
 
@@ -20,6 +20,10 @@ from .linalg import Matrix, _from_ints, _int_rank, _int_reduce, _int_scale
 # first the left-bracketed products (x_a x_b) x_c, then the right-bracketed
 # x_a (x_b x_c), with (a, b, c) running through TRIPLE_PERMS in both blocks.
 TRIPLE_PERMS = ((1, 2, 3), (2, 1, 3), (3, 2, 1), (1, 3, 2), (2, 3, 1), (3, 1, 2))
+
+# Most cells a dense tensor may hold: dim <= 215 for an algebra, and the
+# candidate count of the mod-p oracle (catalog).
+_SIZE_GUARD = 10_000_000
 
 
 def perm_sign(seq) -> int:
@@ -81,8 +85,12 @@ class Algebra:
         """Build from a sparse table {(i, j): {k: value}}.
 
         With ``skew=True`` only pairs i < j may appear; the flipped products
-        and the zero diagonal are filled in automatically.
+        and the zero diagonal are filled in automatically.  A dense tensor
+        of more than ``_SIZE_GUARD`` cells (dim > 215) is refused.
         """
+        if dim ** 3 > _SIZE_GUARD:
+            raise ValueError(f"dimension {dim} exceeds the size guard"
+                             f" ({dim ** 3} > {_SIZE_GUARD} tensor cells)")
         zero = field.zero
         tensor = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j), row in products.items():
@@ -235,8 +243,7 @@ class Element:
         return " + ".join(terms) if terms else "0"
 
 
-@dataclass(frozen=True)
-class QuadIdentityCoeffs:
+class QuadIdentityCoeffs(namedtuple("QuadIdentityCoeffs", "a b")):
     """Coefficients (a_1..a_6, b_1..b_6) of the 12-term quadratic identity.
 
     a_i weight the left-bracketed monomials (x_a x_b) x_c and b_i the
@@ -244,12 +251,12 @@ class QuadIdentityCoeffs:
     field elements or ints.
     """
 
-    a: tuple
-    b: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.a) != 6 or len(self.b) != 6:
+    def __new__(cls, a, b):
+        if len(a) != 6 or len(b) != 6:
             raise ValueError("need exactly six left and six right coefficients")
+        return super().__new__(cls, a, b)
 
     @classmethod
     def build(cls, field, a, b):
@@ -308,11 +315,14 @@ def check_anticommutative(A: Algebra):
     return _skew_witness(p, t)
 
 
-def _quad_test(A: Algebra, coeffs: QuadIdentityCoeffs):
-    """The test (i, j, k) -> True where the 12-term sum is nonzero at
-    (e_i, e_j, e_k), on ``Algebra.int_table`` with the coefficients scaled
-    to integers in the same way (the sum is linear in them and homogeneous
-    of degree 2 in c).  Each nonzero coefficient is one ``_mul_into``.
+def check_quadratic_identity(A: Algebra, coeffs: QuadIdentityCoeffs):
+    """None, or the first basis triple where the 12-term sum is nonzero.
+
+    Multilinearity makes checking on basis triples sufficient.  The sum is
+    taken on ``Algebra.int_table`` with the coefficients scaled to integers
+    in the same way (it is linear in them and homogeneous of degree 2 in
+    c); each nonzero coefficient is one ``_mul_into``.  The other quadratic
+    laws are presets of this scan.
     """
     vals = [A.field.coerce(v) for v in coeffs.a + coeffs.b]
     to_int = _int_scale(A.field, vals)[1]
@@ -329,17 +339,7 @@ def _quad_test(A: Algebra, coeffs: QuadIdentityCoeffs):
         for w, planes, m, a, b in terms:
             _mul_into(acc, planes[xs[m]], t[xs[a]][xs[b]], w)
         return any(v % p for v in acc) if p else any(acc)
-    return nonzero
-
-
-def check_quadratic_identity(A: Algebra, coeffs: QuadIdentityCoeffs):
-    """None, or the first basis triple where the 12-term sum is nonzero.
-
-    Multilinearity makes checking on basis triples sufficient.  The other
-    quadratic laws are presets of this scan.
-    """
-    nonzero = _quad_test(A, coeffs)
-    r = range(A.dim)
+    r = range(d)
     return next(((i, j, k) for i in r for j in r for k in r if nonzero(i, j, k)), None)
 
 
@@ -421,17 +421,13 @@ def check_acaa_admissible(B: Algebra):
                                                           (0, -1, 1, 0, 1, -1)))
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(namedtuple("Fingerprint", "dim derived_dim ann_dim cube_dim")):
     """Isomorphism invariants: (dim, derived dim, annihilator dim, cube dim)."""
 
-    dim: int
-    derived_dim: int
-    ann_dim: int
-    cube_dim: int
+    __slots__ = ()
 
     def as_tuple(self):
-        return (self.dim, self.derived_dim, self.ann_dim, self.cube_dim)
+        return tuple(self)
 
 
 def derived_cube_rows(A: Algebra):

@@ -15,23 +15,22 @@ rows, which holds every partial sum for p <= 5 (|sum| <= 64).
 ``reps.h3_faithfulness_search`` shares ``_decode``: its square-zero filter
 is one broadcast boolean grid over F_p^9, and its pair scan is staged over
 the entries of XY + YX.
+
+In characteristic 3 the law implies the Jacobi identity: with
+[x,[y,z]] = [z,[x,y]], the Jacobi sum is 3 [x,[y,z]] = 0.  So every
+algebra counted at p = 3 is also a Lie algebra, and free3 is a non-Lie
+example only in characteristic other than 3.
 """
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import combinations
 
-from .algebra import Algebra, Fingerprint, check_acaa, fingerprint
+from .algebra import _SIZE_GUARD, Algebra, Fingerprint, check_acaa, fingerprint
 from .fields import Q, is_prime
 from .free import free_acaa
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    algebra: Algebra
-    fingerprint: Fingerprint
-    description: str
+CatalogEntry = namedtuple("CatalogEntry", "name algebra fingerprint description")
 
 
 def _abelian(dim: int) -> Algebra:
@@ -140,7 +139,6 @@ def recognize(A: Algebra) -> str:
 
 # --- exhaustive enumeration over F_p ---------------------------------------
 
-_SIZE_GUARD = 10_000_000
 _CHUNK = 1 << 17
 
 
@@ -339,13 +337,14 @@ def _orbit_sizes(survivors, dim, p):
 
 def _chunked(total, keep, jobs):
     """Concatenation of keep(codes) over range(total) in chunks of _CHUNK
-    codes, in order; jobs > 1 spreads the chunks over that many threads."""
+    int32 codes (total is at most _SIZE_GUARD < 2^31), in order; jobs > 1
+    spreads the chunks over that many threads."""
     import numpy as np
 
     bounds = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
 
     def run(bound):
-        return keep(np.arange(*bound, dtype=np.int64))
+        return keep(np.arange(*bound, dtype=np.int32))
 
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -11,7 +11,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import cohomology as coh
 from . import operad, series
@@ -33,12 +32,14 @@ class CliError(Exception):
     pass
 
 
-@dataclass
 class CommandReport:
-    command: str
-    status: str                      # "holds" | "fails" | "value"
-    witness: list = None
-    payload: dict = field(default_factory=dict)
+    __slots__ = ("command", "status", "witness", "payload")
+
+    def __init__(self, command, status, witness=None, payload=None):
+        self.command = command
+        self.status = status             # "holds" | "fails" | "value"
+        self.witness = witness
+        self.payload = {} if payload is None else payload
 
     def to_json(self) -> str:
         data = {"command": self.command, "status": self.status,

@@ -29,7 +29,7 @@ n.  The skew test on C^2 reads the same integer rows, and the cyclic-sum
 certificate sums integers, once per rotation orbit of (x, y, z).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import (Algebra, Element, _mul_into, _skew_witness, check_acaa,
                       check_anticommutative, derived_cube_rows)
@@ -189,8 +189,7 @@ def is_zero_tensor(t) -> bool:
     return not t
 
 
-@dataclass(frozen=True)
-class GradedAlgebra:
+class GradedAlgebra(namedtuple("GradedAlgebra", "algebra degrees")):
     """An algebra with a degree (1, 2 or 3) per basis vector.
 
     Degrees must be compatible with the product: whenever e_i e_j has a
@@ -198,26 +197,25 @@ class GradedAlgebra:
     must satisfy the cyclic triple-bracket law.
     """
 
-    algebra: Algebra
-    degrees: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        A = self.algebra
-        object.__setattr__(self, "degrees", tuple(self.degrees))
-        if len(self.degrees) != A.dim:
+    def __new__(cls, algebra, degrees):
+        degrees = tuple(degrees)
+        if len(degrees) != algebra.dim:
             raise ValueError("need one degree per basis vector")
-        if any(d not in (1, 2, 3) for d in self.degrees):
+        if any(d not in (1, 2, 3) for d in degrees):
             raise ValueError("degrees must be 1, 2 or 3")
-        w = check_acaa(A)
+        w = check_acaa(algebra)
         if w is not None:
             raise ValueError(f"triple-bracket law fails at {w}")
-        for i, plane in enumerate(A.int_table()[2]):
+        for i, plane in enumerate(algebra.int_table()[2]):
             for j, row in enumerate(plane):
                 for k, _ in row:
-                    if self.degrees[k] != self.degrees[i] + self.degrees[j]:
+                    if degrees[k] != degrees[i] + degrees[j]:
                         raise ValueError(
                             f"product e_{i} e_{j} lands in degree"
-                            f" {self.degrees[k]} != {self.degrees[i]} + {self.degrees[j]}")
+                            f" {degrees[k]} != {degrees[i]} + {degrees[j]}")
+        return super().__new__(cls, algebra, degrees)
 
 
 def _unit_vectors(rows, ncols, p):

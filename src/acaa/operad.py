@@ -12,17 +12,15 @@ rank-3 computation here shows they force every triple product to vanish,
 which is why the dual arity dimensions collapse to (1, 1, 0, ...).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import TRIPLE_PERMS, perm_sign
 from .fields import Q
 from .linalg import Matrix, Subspace, rank_kernel
 
 
-@dataclass(frozen=True)
-class MonomialSpace:
-    variant: str
-    labels: tuple
+class MonomialSpace(namedtuple("MonomialSpace", "variant labels")):
+    __slots__ = ()
 
     @property
     def dim(self) -> int:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from acaa.algebra import Algebra, check_acaa
 from acaa.fields import PrimeField, Q
 from acaa.linalg import Matrix
+from acaa.reps import ad_matrix
 
 
 def upper_triangular_2x2() -> Algebra:
@@ -279,6 +280,28 @@ def reference_check_weighted_antiderivation(A, f, weight):
             right = A.multiply_coords(f_basis[i], _basis_vec(A, j))
             if any(a + b + c for a, b, c in zip(v, left, right)):
                 return (i, j)
+    return None
+
+
+def reference_check_ad_identities(A):
+    """The former Matrix-product scan of the adjoint operator laws, without
+    the triple-bracket precondition: (ad e_i)^2 = 0 first, then for each
+    pair ad e_i ad e_j + ad e_j ad e_i = 0 ("anticommutation") before
+    2 ad[e_i, e_j] + ad e_i ad e_j - ad e_j ad e_i = 0 ("double-bracket")."""
+    ads = [ad_matrix(A, A.basis(i)) for i in range(A.dim)]
+    two = A.field.from_int(2)
+    for i in range(A.dim):
+        if not (ads[i] * ads[i]).is_zero():
+            return ("square", (i,))
+    for i in range(A.dim):
+        for j in range(A.dim):
+            ij = ads[i] * ads[j]
+            ji = ads[j] * ads[i]
+            if not (ij + ji).is_zero():
+                return ("anticommutation", (i, j))
+            ad_bracket = ad_matrix(A, A.element(A.product(i, j)))
+            if not (ad_bracket.scale(two) + ij - ji).is_zero():
+                return ("double-bracket", (i, j))
     return None
 
 

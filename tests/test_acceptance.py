@@ -27,7 +27,7 @@ from acaa.reps import (ad_matrix, adjoint_representation, check_ad_identities,
 from acaa.series import (acaa_generating_series, dual_generating_series,
                          koszul_residual, minimal_model_series)
 
-from conftest import seven_dim_table
+from conftest import reference_check_ad_identities, seven_dim_table
 
 
 @contextmanager
@@ -120,6 +120,7 @@ def test_criterion_07_operator_identities():
         for e in all_entries():
             A = e.algebra
             assert check_ad_identities(A) is None, e.name
+            assert reference_check_ad_identities(A) is None, e.name
             for _ in range(20):
                 x = random_element(A, rng)
                 adx = ad_matrix(A, x)

@@ -64,6 +64,12 @@ def test_check_acaa_preconditions():
         check_acaa(A)
 
 
+def test_from_products_refuses_a_tensor_past_the_size_guard():
+    # 215^3 cells fit under 10^7, 216^3 do not; the dense tensor is never built
+    with pytest.raises(ValueError, match="size guard"):
+        Algebra.from_products(Q, 216, {})
+
+
 def test_check_acaa_over_odd_prime_field():
     F5 = PrimeField(5)
     h3_mod5 = Algebra.from_products(F5, 3, {(0, 1): {2: 1}}, skew=True)
@@ -73,8 +79,12 @@ def test_check_acaa_over_odd_prime_field():
 def test_jacobi_holds_on_h3_fails_on_free3():
     h3 = entry("h3").algebra
     assert check_quadratic_identity(h3, jacobi_coeffs(Q)) is None
-    F = free_acaa(3)
-    assert check_quadratic_identity(F.algebra, jacobi_coeffs(Q)) == (0, 1, 2)
+    for field in (Q, PrimeField(5), PrimeField(7)):
+        F = free_acaa(3, field)
+        assert check_quadratic_identity(F.algebra, jacobi_coeffs(field)) == (0, 1, 2)
+    # the Jacobi sum is 3 [x,[y,z]] under the law, so over F_3 free3 is Lie
+    F3 = PrimeField(3)
+    assert check_quadratic_identity(free_acaa(3, F3).algebra, jacobi_coeffs(F3)) is None
 
 
 def test_jacobi_sum_on_free3_is_three_times_monomial():

@@ -293,6 +293,12 @@ def test_non_positive_counts_exit_2_with_one_error_line(capsys, argv):
     assert one_error_line(capsys)
 
 
+def test_free_past_the_size_guard_exits_2_with_one_error_line(capsys):
+    # free11 has dimension 231, just past the 215 of the dense-tensor guard
+    assert main(["free", "--generators", "11"]) == 2
+    assert one_error_line(capsys)
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--identity", "custom", "--coeffs", "1/0,0,0,0,0,0,1,0,0,0,-1,0", "h5"],
     ["ad", "h3", "--element", "1/0,0,0"],
@@ -336,8 +342,10 @@ def src_env():
 
 
 def test_cli_import_does_not_load_numpy():
+    # nor dataclasses, whose import (mostly inspect) every process would pay
     subprocess.run([sys.executable, "-c",
-                    "import acaa.cli, sys; assert 'numpy' not in sys.modules"],
+                    "import acaa.cli, sys; assert 'numpy' not in sys.modules; "
+                    "assert 'dataclasses' not in sys.modules"],
                    env=src_env(), check=True)
 
 

@@ -1,5 +1,5 @@
 import random
-from unittest import mock
+import re
 
 import pytest
 from hypothesis import given
@@ -18,7 +18,7 @@ from acaa.reps import (Representation, ad_matrix, adjoint_representation,
 from acaa.serialize import representation_from_json, representation_to_json
 
 from conftest import (FIELDS, KERNEL_SETTINGS, plain_algebras, random_invertible_over,
-                      reference_check_representation,
+                      reference_check_ad_identities, reference_check_representation,
                       reference_check_weighted_antiderivation, scalar, simple_lie_3,
                       skew_algebras)
 
@@ -343,64 +343,59 @@ def test_representation_shape_validation():
         Representation(h3, 3, [Matrix.zero(Q, 2, 3)] * 3)
 
 
-# --- the adjoint laws against the Matrix products they replaced --------------
+# --- the adjoint laws follow from the triple-bracket law ---------------------
 
-def reference_check_ad_identities(A):
-    """The former Matrix-product check_ad_identities without its
-    precondition, kept here only as a test oracle."""
-    ads = [ad_matrix(A, A.basis(i)) for i in range(A.dim)]
-    two = A.field.from_int(2)
-    for i in range(A.dim):
-        if not (ads[i] * ads[i]).is_zero():
-            return ("square", (i,))
-    for i in range(A.dim):
-        for j in range(A.dim):
-            ij = ads[i] * ads[j]
-            ji = ads[j] * ads[i]
-            if not (ij + ji).is_zero():
-                return ("anticommutation", (i, j))
-            ad_bracket = ad_matrix(A, A.element(A.product(i, j)))
-            if not (ad_bracket.scale(two) + ij - ji).is_zero():
-                return ("double-bracket", (i, j))
-    return None
+def assert_ad_identities_follow_acaa(A):
+    """check_ad_identities returns None exactly when check_acaa does, and
+    otherwise raises with its witness; the independent Matrix route finds
+    an operator law failing exactly when the law fails.  Returns the
+    reference's witness."""
+    w = check_acaa(A)
+    ref = reference_check_ad_identities(A)
+    assert (ref is None) == (w is None)
+    if w is None:
+        assert check_ad_identities(A) is None
+    else:
+        with pytest.raises(ValueError, match=re.escape(
+                f"precondition failed: triple-bracket law fails at {w}")):
+            check_ad_identities(A)
+    return ref
+
+
+def nonabelian_acaa(A):
+    """Most drawn ACAA tables are abelian; their images meet fewer laws."""
+    return any(any(row) for plane in A.tensor for row in plane) and check_acaa(A) is None
 
 
 @KERNEL_SETTINGS
 @given(skew_algebras())
-def test_ad_identities_witness_matches_matrix_reference(A):
-    # ACAA tables pass the precondition and every law; on all tables the
-    # laws are also scanned with the precondition switched off, so that the
-    # witness order is compared on failing tables too
-    if reps.check_acaa(A) is None:
-        assert check_ad_identities(A) is None
-    else:
-        with pytest.raises(ValueError, match="precondition"):
-            check_ad_identities(A)
-    with mock.patch.object(reps, "check_acaa", lambda A: None):
-        assert check_ad_identities(A) == reference_check_ad_identities(A)
+def test_ad_identities_hold_exactly_when_acaa_holds(A):
+    assert_ad_identities_follow_acaa(A)
 
 
-def test_ad_identities_witness_order_on_sparse_tables():
+@KERNEL_SETTINGS
+@given(skew_algebras().filter(nonabelian_acaa))
+def test_ad_identities_hold_on_nonabelian_acaa_tables(A):
+    assert assert_ad_identities_follow_acaa(A) is None
+
+
+def test_ad_identities_follow_acaa_on_sparse_tables():
     # sparse skew tables with two or three products mostly square to zero,
-    # so they also reach the anticommutation and double-bracket laws
+    # so the reference also reaches the anticommutation and double-bracket
+    # laws; in T = ([e1, e2] = e3, [e3, e4] = e5), 2 ad e3 + [ad e1, ad e2]
+    # sends e4 to 2 e5
     rng = random.Random(41)
-    examples = [e.algebra for e in all_entries()] + [free_acaa(3).algebra, simple_lie_3()]
+    T = Algebra.from_products(Q, 5, {(0, 1): {2: 1}, (2, 3): {4: 1}}, skew=True)
+    examples = [e.algebra for e in all_entries()] + [free_acaa(3).algebra, simple_lie_3(), T]
     for _ in range(300):
         F = rng.choice(FIELDS)
         pairs = rng.sample([(i, j) for i in range(5) for j in range(i + 1, 5)], rng.randint(2, 3))
         examples.append(Algebra.from_products(
             F, 5, {pair: {rng.randrange(5): rng.randint(1, 2)} for pair in pairs}, skew=True))
-    laws = set()
-    with mock.patch.object(reps, "check_acaa", lambda A: None):
-        for A in examples:
-            w = check_ad_identities(A)
-            assert w == reference_check_ad_identities(A)
-            laws.add(w and w[0])
-        assert check_ad_identities(simple_lie_3()) == ("square", (0,))
-        # [e1, e2] = e3, [e3, e4] = e5: 2 ad e3 + [ad e1, ad e2] sends e4 to 2 e5
-        T = Algebra.from_products(Q, 5, {(0, 1): {2: 1}, (2, 3): {4: 1}}, skew=True)
-        assert check_ad_identities(T) == ("double-bracket", (0, 1))
+    laws = {w and w[0] for w in map(assert_ad_identities_follow_acaa, examples)}
     assert laws == {None, "square", "anticommutation", "double-bracket"}
+    assert reference_check_ad_identities(simple_lie_3()) == ("square", (0,))
+    assert reference_check_ad_identities(T) == ("double-bracket", (0, 1))
 
 
 def test_ad_matrix_over_prime_fields():
@@ -526,11 +521,6 @@ def assert_matches_matrix_reference(rep):
         with pytest.raises(ValueError, match="not a representation"):
             is_faithful(rep)
     return w
-
-
-def nonabelian_acaa(A):
-    """Most drawn ACAA tables are abelian; their images meet fewer laws."""
-    return any(any(row) for plane in A.tensor for row in plane) and check_acaa(A) is None
 
 
 @KERNEL_SETTINGS
