@@ -292,6 +292,12 @@ def quadratic_identity_value(A: Algebra, coeffs: QuadIdentityCoeffs, x, y, z) ->
     return total
 
 
+def _nonzero(vec, p):
+    """True when the integer vector is nonzero in the field of characteristic
+    p (0 for Q)."""
+    return any(v % p for v in vec) if p else any(vec)
+
+
 def _skew_witness(p, planes):
     """None, or the first pair (i, j) where the sparse integer rows
     planes[i][j] and planes[j][i] do not cancel (mod p when p > 0), a
@@ -338,7 +344,7 @@ def check_quadratic_identity(A: Algebra, coeffs: QuadIdentityCoeffs):
         acc = [0] * d
         for w, planes, m, a, b in terms:
             _mul_into(acc, planes[xs[m]], t[xs[a]][xs[b]], w)
-        return any(v % p for v in acc) if p else any(acc)
+        return _nonzero(acc, p)
     r = range(d)
     return next(((i, j, k) for i in r for j in r for k in r if nonzero(i, j, k)), None)
 

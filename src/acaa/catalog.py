@@ -23,6 +23,7 @@ example only in characteristic other than 3.
 """
 
 from collections import Counter, namedtuple
+from functools import cache
 from itertools import combinations
 
 from .algebra import _SIZE_GUARD, Algebra, Fingerprint, check_acaa, fingerprint
@@ -32,72 +33,52 @@ from .free import free_acaa
 
 CatalogEntry = namedtuple("CatalogEntry", "name algebra fingerprint description")
 
+# name, dim, skew products (None: the algebra is free_acaa(3)), fingerprint,
+# description; in order, the classification lists of dimensions 2..5, then
+# the extras n6 and free3
+_TABLE = (
+    ("abelian2", 2, {}, (2, 0, 2, 0), "2-dimensional abelian algebra"),
+    ("abelian3", 3, {}, (3, 0, 3, 0), "3-dimensional abelian algebra"),
+    ("h3", 3, {(0, 1): {2: 1}}, (3, 1, 1, 0), "3-dimensional Heisenberg algebra"),
+    ("abelian4", 4, {}, (4, 0, 4, 0), "4-dimensional abelian algebra"),
+    ("h3+K", 4, {(0, 1): {2: 1}}, (4, 1, 2, 0),
+     "Heisenberg algebra plus a 1-dimensional abelian summand"),
+    ("abelian5", 5, {}, (5, 0, 5, 0), "5-dimensional abelian algebra"),
+    ("h3+K2", 5, {(0, 1): {2: 1}}, (5, 1, 3, 0),
+     "Heisenberg algebra plus a 2-dimensional abelian summand"),
+    ("L5", 5, {(0, 1): {2: 1}, (0, 3): {4: 1}}, (5, 2, 2, 0),
+     "5-dimensional 2-step nilpotent Lie algebra with 2-dimensional"
+     " derived subalgebra"),
+    ("h5", 5, {(0, 1): {4: 1}, (2, 3): {4: 1}}, (5, 1, 1, 0),
+     "5-dimensional Heisenberg algebra"),
+    ("n6", 6, {(0, 1): {3: 1}, (0, 2): {4: 1}, (1, 2): {5: 1}}, (6, 3, 3, 0),
+     "free 2-step nilpotent Lie algebra on 3 generators"),
+    ("free3", 7, None, (7, 4, 1, 1),
+     "free anticommutative antiassociative algebra on 3 generators"),
+)
 
-def _abelian(dim: int) -> Algebra:
-    return Algebra.from_products(Q, dim, {}, skew=True, name=f"abelian{dim}")
 
-
-def _skew(dim, products, name) -> Algebra:
-    return Algebra.from_products(Q, dim, products, skew=True, name=name)
-
-
-_CACHE = {}
-
-
+@cache
 def _entries() -> dict:
-    if _CACHE:
-        return _CACHE
-    defs = [
-        ("abelian2", _abelian(2), (2, 0, 2, 0), "2-dimensional abelian algebra"),
-        ("abelian3", _abelian(3), (3, 0, 3, 0), "3-dimensional abelian algebra"),
-        ("h3", _skew(3, {(0, 1): {2: 1}}, "h3"), (3, 1, 1, 0),
-         "3-dimensional Heisenberg algebra"),
-        ("abelian4", _abelian(4), (4, 0, 4, 0), "4-dimensional abelian algebra"),
-        ("h3+K", _skew(4, {(0, 1): {2: 1}}, "h3+K"), (4, 1, 2, 0),
-         "Heisenberg algebra plus a 1-dimensional abelian summand"),
-        ("abelian5", _abelian(5), (5, 0, 5, 0), "5-dimensional abelian algebra"),
-        ("h3+K2", _skew(5, {(0, 1): {2: 1}}, "h3+K2"), (5, 1, 3, 0),
-         "Heisenberg algebra plus a 2-dimensional abelian summand"),
-        ("L5", _skew(5, {(0, 1): {2: 1}, (0, 3): {4: 1}}, "L5"), (5, 2, 2, 0),
-         "5-dimensional 2-step nilpotent Lie algebra with 2-dimensional"
-         " derived subalgebra"),
-        ("h5", _skew(5, {(0, 1): {4: 1}, (2, 3): {4: 1}}, "h5"), (5, 1, 1, 0),
-         "5-dimensional Heisenberg algebra"),
-        ("n6", _skew(6, {(0, 1): {3: 1}, (0, 2): {4: 1}, (1, 2): {5: 1}}, "n6"),
-         (6, 3, 3, 0), "free 2-step nilpotent Lie algebra on 3 generators"),
-        ("free3", free_acaa(3).algebra, (7, 4, 1, 1),
-         "free anticommutative antiassociative algebra on 3 generators"),
-    ]
-    for name, alg, fp, desc in defs:
-        _CACHE[name] = CatalogEntry(name, alg, Fingerprint(*fp), desc)
-    return _CACHE
-
-
-_CLASSIFICATION = {
-    2: ("abelian2",),
-    3: ("abelian3", "h3"),
-    4: ("abelian4", "h3+K"),
-    5: ("abelian5", "h3+K2", "L5", "h5"),
-}
-
-_EXTRAS = ("n6", "free3")
+    """The table's entries by name, in table order, built on first use."""
+    return {name: CatalogEntry(
+                name, free_acaa(3).algebra if products is None else
+                Algebra.from_products(Q, dim, products, skew=True, name=name),
+                Fingerprint(*fp), desc)
+            for name, dim, products, fp, desc in _TABLE}
 
 
 def catalog(dim: int) -> list:
     """The complete classification list for dimension 2..5."""
-    if dim not in _CLASSIFICATION:
+    if not 2 <= dim <= 5:
         raise ValueError(f"no classification list for dimension {dim};"
                          f" extra entries are exposed by name")
-    entries = _entries()
-    return [entries[name] for name in _CLASSIFICATION[dim]]
+    return [e for e in _entries().values() if e.algebra.dim == dim]
 
 
 def all_entries() -> list:
-    """Every named entry: the classification lists plus free3 and n6."""
-    entries = _entries()
-    names = [n for dim in sorted(_CLASSIFICATION) for n in _CLASSIFICATION[dim]]
-    names.extend(_EXTRAS)
-    return [entries[n] for n in names]
+    """Every named entry: the classification lists plus n6 and free3."""
+    return list(_entries().values())
 
 
 def entry(name: str) -> CatalogEntry:
@@ -105,19 +86,6 @@ def entry(name: str) -> CatalogEntry:
     if name not in entries:
         raise ValueError(f"unknown catalog entry {name!r}")
     return entries[name]
-
-
-_RECOGNITION = {
-    (2, 0, 2, 0): "abelian2",
-    (3, 0, 3, 0): "abelian3",
-    (3, 1, 1, 0): "h3",
-    (4, 0, 4, 0): "abelian4",
-    (4, 1, 2, 0): "h3+K",
-    (5, 0, 5, 0): "abelian5",
-    (5, 1, 3, 0): "h3+K2",
-    (5, 2, 2, 0): "L5",
-    (5, 1, 1, 0): "h5",
-}
 
 
 def recognize(A: Algebra) -> str:
@@ -134,7 +102,8 @@ def recognize(A: Algebra) -> str:
     w = check_acaa(A)
     if w is not None:
         raise ValueError(f"algebra fails the triple-bracket law at {w}")
-    return _RECOGNITION.get(fingerprint(A).as_tuple(), "unknown")
+    fp = fingerprint(A)
+    return next((e.name for e in catalog(A.dim) if e.fingerprint == fp), "unknown")
 
 
 # --- exhaustive enumeration over F_p ---------------------------------------
@@ -160,18 +129,13 @@ def _decode(codes, count, p):
     return out.T
 
 
-def _encode(out, p):
-    # out: (n, npairs, dim), pair-major digit order matching _decode
+def _encode(C, p):
+    """The codes of the tensors in C, shaped (n, pairs, dim): the inverse of
+    ``_decode``, with the digits in pair-major order, as int64."""
     import numpy as np
 
-    n, npairs, dim = out.shape
-    codes = np.zeros(n, dtype=np.int64)
-    mult = 1
-    for pi in range(npairs):
-        for k in range(dim):
-            codes += out[:, pi, k] * mult
-            mult *= p
-    return codes
+    n, npairs, dim = C.shape
+    return C.reshape(n, npairs * dim) @ p ** np.arange(npairs * dim, dtype=np.int64)
 
 
 def _acaa_checks(dim, pairs):
@@ -227,7 +191,7 @@ def _acaa_mask(C, dim, p, pairs):
     """
     import numpy as np
 
-    alive = np.arange(len(C))
+    alive = np.arange(len(C), dtype=np.int32)
     D = np.asarray(C, dtype=np.int8).transpose(1, 2, 0)
     for terms in _acaa_checks(dim, pairs):
         acc = np.zeros((dim, len(alive)), dtype=np.int8)

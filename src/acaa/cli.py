@@ -70,11 +70,6 @@ def _load_algebra_arg(ref: str):
         raise CliError(f"no such file or catalog entry: {ref}")
 
 
-def _require_positive(option, value):
-    if value < 1:
-        raise CliError(f"--{option} must be a positive integer, got {value}")
-
-
 def _labels(A, indices):
     return [A.label(i) for i in indices]
 
@@ -100,10 +95,8 @@ def cmd_check(args) -> CommandReport:
         witness = check_quadratic_identity(A, antiassociativity_coeffs(A.field))
     elif identity == "rho-associative":
         witness = check_rho_associative(A)
-    elif identity == "acaa-admissible":
+    else:  # acaa-admissible, the last of the choices argparse allows
         witness = check_acaa_admissible(A)
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown identity {identity!r}")
     payload = {"identity": identity, "dim": A.dim}
     if witness is None:
         return CommandReport("check", "holds", payload=payload)
@@ -136,7 +129,6 @@ def cmd_recognize(args) -> CommandReport:
 
 
 def cmd_enumerate(args) -> CommandReport:
-    _require_positive("jobs", args.jobs)
     acaa_count, iso = enumerate_finite(args.dim, args.p, jobs=args.jobs)
     return CommandReport("enumerate", "value",
                          payload={"dim": args.dim, "p": args.p,
@@ -153,7 +145,6 @@ def cmd_ad(args) -> CommandReport:
 
 
 def cmd_rep_check(args) -> CommandReport:
-    _require_positive("jobs", args.jobs)
     if args.h3_search:
         result = h3_faithfulness_search(args.p, args.d, jobs=args.jobs)
         if result is None:
@@ -190,7 +181,6 @@ def cmd_rep_check(args) -> CommandReport:
 
 
 def cmd_cohomology(args) -> CommandReport:
-    _require_positive("samples", args.samples)
     A = _load_algebra_arg(args.algebra)
     rng = random.Random(args.seed)
     payload = {"check": args.check, "samples": args.samples, "seed": args.seed}
@@ -223,54 +213,45 @@ def cmd_cohomology(args) -> CommandReport:
         payload.update({"zero_residuals": zero,
                         "nonzero_residuals": args.samples - zero})
         return CommandReport("cohomology", "value", payload=payload)
-    if args.check == "gmap":
-        G = coh.infer_grading(A)
-        for x in range(A.dim):
-            d1 = coh.delta1(A, coh.g_map(G, x))
-            for i in range(A.dim):
-                for j in range(A.dim):
-                    if G.degrees[i] == 1 and G.degrees[j] == 1 and any(d1[i][j]):
-                        return CommandReport("cohomology", "fails",
-                                             witness=_labels(A, (x, i, j)),
-                                             payload=payload)
-        return CommandReport("cohomology", "holds", payload=payload)
-    raise CliError(f"unknown cohomology check {args.check!r}")  # pragma: no cover
+    G = coh.infer_grading(A)  # gmap
+    for x in range(A.dim):
+        d1 = coh.delta1(A, coh.g_map(G, x))
+        for i in range(A.dim):
+            for j in range(A.dim):
+                if G.degrees[i] == 1 and G.degrees[j] == 1 and any(d1[i][j]):
+                    return CommandReport("cohomology", "fails",
+                                         witness=_labels(A, (x, i, j)), payload=payload)
+    return CommandReport("cohomology", "holds", payload=payload)
 
 
 def cmd_series(args) -> CommandReport:
-    _require_positive("order", args.order)
     if args.series_command == "inverse":
         u = series.minimal_model_series(args.order,
                                         negated_convention=args.negated_convention)
         return CommandReport("series", "value",
                              payload={"order": args.order,
                                       "coeffs": [str(c) for c in u.coeffs]})
-    if args.series_command == "koszul":
-        res = series.koszul_residual(series.acaa_generating_series(args.order),
-                                     series.dual_generating_series(args.order),
-                                     args.order, swap_roles=args.swap_roles)
-        return CommandReport("series", "value",
-                             payload={"order": args.order,
-                                      "residual": [str(c) for c in res.coeffs],
-                                      "koszul_consistent": res.is_zero()})
-    raise CliError("series needs a subcommand: inverse or koszul")  # pragma: no cover
+    res = series.koszul_residual(series.acaa_generating_series(args.order),  # koszul
+                                 series.dual_generating_series(args.order),
+                                 args.order, swap_roles=args.swap_roles)
+    return CommandReport("series", "value",
+                         payload={"order": args.order,
+                                  "residual": [str(c) for c in res.coeffs],
+                                  "koszul_consistent": res.is_zero()})
 
 
 def cmd_operad(args) -> CommandReport:
     if args.operad_command == "dims":
-        _require_positive("count", args.count)
         return CommandReport("operad", "value",
                              payload={"acaa": operad.acaa_dims(args.count),
                                       "dual": operad.dual_dims(args.count)})
-    if args.operad_command == "dual-check":
-        pairing = operad.pairing_matrix()
-        diag = [str(pairing.entries[i][i]) for i in range(12)]
-        rank = operad.cyclic_relation_matrix().rank()
-        ok = operad.dual_relations_force_nilpotency()
-        payload = {"cyclic_relation_rank": rank, "pairing_diagonal": diag,
-                   "forces_nilpotency": ok}
-        return CommandReport("operad", "holds" if ok else "fails", payload=payload)
-    raise CliError("operad needs a subcommand: dims or dual-check")  # pragma: no cover
+    pairing = operad.pairing_matrix()  # dual-check
+    diag = [str(pairing.entries[i][i]) for i in range(12)]
+    rank = operad.cyclic_relation_matrix().rank()
+    ok = operad.dual_relations_force_nilpotency()
+    payload = {"cyclic_relation_rank": rank, "pairing_diagonal": diag,
+               "forces_nilpotency": ok}
+    return CommandReport("operad", "holds" if ok else "fails", payload=payload)
 
 
 def cmd_catalog(args) -> CommandReport:
@@ -388,6 +369,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
+        for option in ("jobs", "samples", "order", "count"):
+            value = vars(args).get(option, 1)
+            if value < 1:
+                raise CliError(f"--{option} must be a positive integer, got {value}")
         report = args.func(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

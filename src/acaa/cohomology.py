@@ -31,7 +31,7 @@ certificate sums integers, once per rotation orbit of (x, y, z).
 
 from collections import namedtuple
 
-from .algebra import (Algebra, Element, _mul_into, _skew_witness, check_acaa,
+from .algebra import (Algebra, Element, _mul_into, _nonzero, _skew_witness, check_acaa,
                       check_anticommutative, derived_cube_rows)
 from .linalg import Matrix, _from_ints, _int_reduce, _int_rows, _int_scale, random_matrix
 from .reps import _derivation_defect, ad_matrix
@@ -170,7 +170,7 @@ def cyclic_sum_witness(A: Algebra, psi):
                 if (j, k, i) < (i, j, k) or (k, i, j) < (i, j, k):
                     continue  # not the least triple of its orbit
                 total = map(sum, zip(cell(i, j, k), cell(j, k, i), cell(k, i, j)))
-                if any(n % p for n in total) if p else any(total):
+                if _nonzero(total, p):
                     return (i, j, k)
     return None
 

@@ -17,7 +17,7 @@ implies the Jacobi identity (the Jacobi sum is 3 [x,[y,z]]), so at p = 3
 every algebra satisfying the law is also a Lie algebra.
 """
 
-from .algebra import Algebra, Element, _mul_into, check_acaa
+from .algebra import Algebra, Element, _mul_into, _nonzero, check_acaa
 from .catalog import _decode
 from .linalg import Matrix, _int_rows
 
@@ -116,8 +116,7 @@ def check_weighted_antiderivation(A: Algebra, f: Matrix, weight: int):
         raise ValueError("weight must be a positive integer")
     p, _, h = _derivation_defect(A, f, -weight)
     r = range(A.dim)
-    return next(((i, j) for i in r for j in r
-                 if any(v % p if p else v for v in h(i, j))), None)
+    return next(((i, j) for i in r for j in r if _nonzero(h(i, j), p)), None)
 
 
 def check_representation(rep: Representation):
@@ -148,18 +147,16 @@ def check_representation(rep: Representation):
     mu, cols = _int_rows(A.field, (col for m in rep.images for col in zip(*m.entries)))
     planes = [cols[m * n:(m + 1) * n] for m in r]
     at = [[planes[m][k] for m in r] for k in s]  # at[k][m] is X_m e_k
-
-    def nonzero(acc):
-        return any(v % p for v in acc) if p else any(acc)
     for i in r:
-        if any(nonzero(_mul_into([0] * n, planes[i], planes[i][k])) for k in s):
+        if any(_nonzero(_mul_into([0] * n, planes[i], planes[i][k]), p) for k in s):
             return ("square", (i,))
     for i in r:
         for j in r:
             ij = [_mul_into([0] * n, planes[i], planes[j][k]) for k in s]
-            if any(nonzero(_mul_into(v[:], planes[j], planes[i][k])) for k, v in enumerate(ij)):
+            if any(_nonzero(_mul_into(v[:], planes[j], planes[i][k]), p)
+                   for k, v in enumerate(ij)):
                 return ("anticommutation", (i, j))
-            if any(nonzero(_mul_into([lam * x for x in v], at[k], t[i][j], mu))
+            if any(_nonzero(_mul_into([lam * x for x in v], at[k], t[i][j], mu), p)
                    for k, v in enumerate(ij)):
                 return ("bracket", (i, j))
     return None
@@ -180,7 +177,6 @@ def is_faithful(rep: Representation) -> bool:
     return _independent(rep)
 
 
-_SEARCH_GUARD = 10_000_000
 _PAIR_BLOCK = 256
 
 
@@ -199,9 +195,6 @@ def h3_faithfulness_search(p: int, d: int = 3, jobs: int = 1):
         raise ValueError("the search is specific to 3x3 matrices")
     if p not in (3, 5):
         raise ValueError("p must be 3 or 5")
-    total = p ** (d * d)
-    if total > _SEARCH_GUARD:
-        raise ValueError("matrix space exceeds the size guard")
 
     nilpotents = _square_zero(p, d)
     found = _first_anticommuting_pair(nilpotents, p)

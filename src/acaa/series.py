@@ -9,6 +9,8 @@ from satisfying the functional equation g_dual(-g(-t)) = t.
 from fractions import Fraction
 from math import factorial
 
+from .operad import acaa_dims, dual_dims
+
 
 class TruncatedSeries:
     """c_1 t + c_2 t^2 + ... + c_N t^N with exact rational coefficients."""
@@ -142,12 +144,12 @@ def generating_series(dims, order: int) -> TruncatedSeries:
 
 def acaa_generating_series(order: int = 6) -> TruncatedSeries:
     """-t + t^2/2 - t^3/6, from arity dimensions (1, 1, 1, 0, ...)."""
-    return generating_series([1, 1, 1], order)
+    return generating_series(acaa_dims(order), order)
 
 
 def dual_generating_series(order: int = 6) -> TruncatedSeries:
     """-t + t^2/2, from arity dimensions (1, 1, 0, ...)."""
-    return generating_series([1, 1], order)
+    return generating_series(dual_dims(order), order)
 
 
 def minimal_model_series(order: int = 6, negated_convention: bool = False) -> TruncatedSeries:

@@ -7,7 +7,7 @@ import pytest
 
 from acaa.algebra import (change_basis, check_acaa, check_quadratic_identity,
                           fingerprint, jacobi_coeffs)
-from acaa.catalog import (_acaa_mask, _decode, _gl_generators, _gl_order,
+from acaa.catalog import (_acaa_mask, _decode, _encode, _gl_generators, _gl_order,
                           _orbit_sizes, _scan, all_entries, catalog, entry,
                           enumerate_finite, recognize)
 from acaa.fields import PrimeField, Q
@@ -31,10 +31,9 @@ def test_catalog_sizes():
 
 
 def test_catalog_rejects_unsupported_dim():
-    with pytest.raises(ValueError):
-        catalog(6)
-    with pytest.raises(ValueError):
-        catalog(7)
+    for dim in (0, 1, 6, 7):
+        with pytest.raises(ValueError, match=f"no classification list for dimension {dim};"):
+            catalog(dim)
 
 
 def test_extras_exposed_by_name():
@@ -131,6 +130,8 @@ def assert_decode_matches_divmod(codes, count, p):
     got = _decode(codes, count, p)
     assert got.dtype == np.int8 and got.shape == (len(codes), count)
     assert np.array_equal(got, reference_decode(codes, count, p))
+    # _encode inverts it, read as (pair, coordinate) digits of a dim-3 tensor
+    assert np.array_equal(_encode(got.reshape(len(codes), count // 3, 3), p), codes)
 
 
 def test_decode_is_int8_and_matches_divmod_on_all_of_f3_9():

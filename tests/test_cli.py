@@ -239,7 +239,11 @@ def test_catalog_command(capsys):
         == ["abelian5", "h3+K2", "L5", "h5"]
     code, data = run_json(capsys, "catalog")
     assert code == 0
-    assert len(data["payload"]["entries"]) == 11
+    assert [(e["name"], e["fingerprint"]) for e in data["payload"]["entries"]] == [
+        ("abelian2", [2, 0, 2, 0]), ("abelian3", [3, 0, 3, 0]), ("h3", [3, 1, 1, 0]),
+        ("abelian4", [4, 0, 4, 0]), ("h3+K", [4, 1, 2, 0]), ("abelian5", [5, 0, 5, 0]),
+        ("h3+K2", [5, 1, 3, 0]), ("L5", [5, 2, 2, 0]), ("h5", [5, 1, 1, 0]),
+        ("n6", [6, 3, 3, 0]), ("free3", [7, 4, 1, 1])]
 
 
 def test_reports_are_deterministic(capsys):
@@ -342,10 +346,12 @@ def src_env():
 
 
 def test_cli_import_does_not_load_numpy():
-    # nor dataclasses, whose import (mostly inspect) every process would pay
+    # nor dataclasses, whose import (mostly inspect) every process would pay,
+    # nor build the catalog table, free3 included
     subprocess.run([sys.executable, "-c",
                     "import acaa.cli, sys; assert 'numpy' not in sys.modules; "
-                    "assert 'dataclasses' not in sys.modules"],
+                    "assert 'dataclasses' not in sys.modules; "
+                    "assert acaa.catalog._entries.cache_info().currsize == 0"],
                    env=src_env(), check=True)
 
 
