@@ -6,7 +6,8 @@ This module holds product evaluation, polarization, the identity checkers
 12-term quadratic family, rho-associativity, admissibility) and the
 isomorphism-invariant fingerprint, all on the integer view
 ``Algebra.int_table``; the quadratic laws are presets of one basis-triple
-scan, ``check_quadratic_identity``.
+scan, ``check_quadratic_identity`` (``check_acaa`` runs it on the triples
+with i < k only).
 
 Checkers return None when the identity holds, otherwise the first
 violating tuple of basis indices in lexicographic order.
@@ -46,6 +47,12 @@ def _mul_into(acc, plane, vec, w=1):
         for n, c2 in plane[m]:
             acc[n] += c * c2
     return acc
+
+
+def _sparse(vec):
+    """The (index, value) pairs of the nonzero entries of a dense vector,
+    the form ``_mul_into`` reads."""
+    return [(k, v) for k, v in enumerate(vec) if v]
 
 
 class Algebra:
@@ -330,6 +337,14 @@ def check_quadratic_identity(A: Algebra, coeffs: QuadIdentityCoeffs):
     c); each nonzero coefficient is one ``_mul_into``.  The other quadratic
     laws are presets of this scan.
     """
+    r = range(A.dim)
+    return _first_failing_triple(A, coeffs, ((i, j, k) for i in r for j in r for k in r))
+
+
+def _first_failing_triple(A, coeffs, triples):
+    """The basis-triple scan of ``check_quadratic_identity`` and
+    ``check_acaa``: None, or the first of ``triples`` where the 12-term sum
+    is nonzero."""
     vals = [A.field.coerce(v) for v in coeffs.a + coeffs.b]
     to_int = _int_scale(A.field, vals)[1]
     p, _, t = A.int_table()
@@ -345,8 +360,7 @@ def check_quadratic_identity(A: Algebra, coeffs: QuadIdentityCoeffs):
         for w, planes, m, a, b in terms:
             _mul_into(acc, planes[xs[m]], t[xs[a]][xs[b]], w)
         return _nonzero(acc, p)
-    r = range(d)
-    return next(((i, j, k) for i in r for j in r for k in r if nonzero(i, j, k)), None)
+    return next((x for x in triples if nonzero(*x)), None)
 
 
 def check_acaa(A: Algebra):
@@ -360,13 +374,28 @@ def check_acaa(A: Algebra):
     and (3, 2, 1) of TRIPLE_PERMS: a = 0, b = (1, 0, 1, 0, 0, 0).  It is
     homogeneous in c, so the scaled ``Algebra.int_table`` gives the same
     verdicts.
+
+    Only the triples with i < k are scanned, in lexicographic order, and
+    the first witness is that of the scan over all d^3 triples: the first
+    failing triple of the full scan has i < k.  The check at (i, j, k) is
+    symmetric in i and k, so if (i, j, k) with i > k fails, so does
+    (k, j, i), which comes first.  At i = k the check is
+    2 [e_i, [e_j, e_i]]: for j = i it vanishes, as [e_i, e_i] = 0, and for
+    j != i it is -2 [e_i, [e_i, e_j]], -2 times the check at
+    (min(i, j), i, max(i, j)), whose other half holds [e_i, e_i]; in
+    characteristic other than 2 the two fail together, and that triple
+    comes first.  ``catalog._acaa_checks`` builds the oracle's checks on
+    the same reduction.
     """
     if A.field.characteristic == 2:
         raise ValueError("the linearized check is not valid in characteristic 2")
     w = None if A.symmetry == "skew" else check_anticommutative(A)
     if w is not None:
         raise ValueError(f"precondition failed: not anticommutative at basis pair {w}")
-    return check_quadratic_identity(A, QuadIdentityCoeffs((0,) * 6, (1, 0, 1, 0, 0, 0)))
+    d = A.dim
+    return _first_failing_triple(A, QuadIdentityCoeffs((0,) * 6, (1, 0, 1, 0, 0, 0)),
+                                 ((i, j, k) for i in range(d) for j in range(d)
+                                  for k in range(i + 1, d)))
 
 
 def polarize(A: Algebra):
@@ -438,25 +467,29 @@ class Fingerprint(namedtuple("Fingerprint", "dim derived_dim ann_dim cube_dim"))
 
 def derived_cube_rows(A: Algebra):
     """Integer spanning rows of the derived space A*A and of the cube space
-    (A*A)*A + A*(A*A), scaled as in ``Algebra.int_table`` (not reduced mod
-    p): the nonzero products e_i e_j, then (e_i e_j) e_k and e_k (e_i e_j)
-    for each of them and every k.  Returns (derived, cubes)."""
-    t = A.int_table()[2]
+    (A*A)*A + A*(A*A), scaled as in ``Algebra.int_table``.  The derived
+    rows are the nonzero products e_i e_j reduced by ``_int_reduce`` (mod p
+    over F_p), a basis of A*A; the cube rows are x e_k and e_k x for each
+    derived row x and every k, which span the cube space by bilinearity.
+    So there are rank <= d derived rows and 2 d rank cube rows.  Returns
+    (derived, cubes)."""
+    p, _, t = A.int_table()
     d = A.dim
+    products = []
+    for plane in t:
+        for u in plane:
+            if u:
+                row = [0] * d
+                for k, c in u:
+                    row[k] = c
+                products.append(row)
+    derived = _int_reduce(products, d, p)[0]
     cols = [[t[m][k] for m in range(d)] for k in range(d)]
-    derived, cubes = [], []
-    for i in range(d):
-        for j in range(d):
-            u = t[i][j]
-            if not u:
-                continue
-            row = [0] * d
-            for k, c in u:
-                row[k] = c
-            derived.append(row)
-            for k in range(d):
-                cubes.append(_mul_into([0] * d, cols[k], u))
-                cubes.append(_mul_into([0] * d, t[k], u))
+    cubes = []
+    for x in map(_sparse, derived):
+        for k in range(d):
+            cubes.append(_mul_into([0] * d, cols[k], x))
+            cubes.append(_mul_into([0] * d, t[k], x))
     return derived, cubes
 
 
@@ -476,7 +509,7 @@ def fingerprint(A: Algebra) -> Fingerprint:
                 right[i][k][j] = c
     ann_rows = [row for half in (left, right) for plane in half for row in plane]
 
-    return Fingerprint(d, _int_rank(derived, d, p), d - _int_rank(ann_rows, d, p),
+    return Fingerprint(d, len(derived), d - _int_rank(ann_rows, d, p),
                        _int_rank(cubes, d, p))
 
 
@@ -504,6 +537,10 @@ def change_basis(A: Algebra, P: Matrix) -> Algebra:
     and lam c integral (``Algebra.int_table``), fraction-free elimination
     gives R = det * M^-1, and R applied to (lam c)(M e_a, M e_b) is
     det * mu * lam times the result, which is divided out once per entry.
+    Every vector is sparse, so each of the three stages (the rows
+    e_i * (M e_b), their combination w, and R w) is one ``_mul_into`` per
+    output row.  For a skew source only a < b is formed; the products with
+    a > b are the negatives and the diagonal is zero.
     """
     if P.field != A.field or P.shape != (A.dim, A.dim):
         raise ValueError("change of basis matrix has wrong shape or field")
@@ -515,18 +552,19 @@ def change_basis(A: Algebra, P: Matrix) -> Algebra:
         [row + [int(i == j) for j in range(d)] for i, row in enumerate(M)], d, p)
     if pivots != list(range(d)):
         raise ValueError("matrix is singular")
-    R = [row[d:] for row in rows]
+    R = [_sparse(col) for col in zip(*(row[d:] for row in rows))]
     vec = _from_ints(A.field, det * mu * lam)
-    cols = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*M)]
+    cols = [_sparse(col) for col in zip(*M)]
     # by[b][i] = e_i * (M e_b), so that (M e_a) * (M e_b) = sum_i M[i][a] by[b][i]
-    by = [[_mul_into([0] * d, t[i], col) for i in range(d)] for col in cols]
-    tensor = []
-    for col in cols:
-        plane = []
-        for rows_b in by:
-            w = [sum(c * rows_b[i][k] for i, c in col) for k in range(d)]
-            plane.append(vec(sum(r * v for r, v in zip(Rrow, w)) for Rrow in R))
-        tensor.append(plane)
+    by = [[_sparse(_mul_into([0] * d, t[i], col)) for i in range(d)] for col in cols]
+    skew = A.symmetry == "skew"
+    tensor = [[vec([0] * d)] * d for _ in range(d)]
+    for a, col in enumerate(cols):
+        for b in range(a + 1 if skew else 0, d):
+            x = _mul_into([0] * d, R, _sparse(_mul_into([0] * d, by[b], col)))
+            tensor[a][b] = vec(x)
+            if skew:
+                tensor[b][a] = vec([-v for v in x])
     return Algebra(A.field, d, tensor, symmetry=A.symmetry)
 
 

@@ -141,12 +141,10 @@ def _encode(C, p):
 def _acaa_checks(dim, pairs):
     """The linearized law as a list of checks, cheapest first.
 
-    Check (i, j, k), i < k, is [e_i,[e_j,e_k]] + [e_k,[e_j,e_i]] = 0; the
-    condition is symmetric in (i, k), so i > k adds nothing, and i = k adds
-    nothing for odd p: check (i, i, i) has no terms, and for j != i check
-    (i, j, i), 2 [e_i,[e_j,e_i]], is -2 times check (min(i, j), i,
-    max(i, j)), whose one nonzero half is [e_i,[e_i,e_j]].  Each basis
-    bracket is a signed pair index, so a check is a list of terms
+    Check (i, j, k), i < k, is [e_i,[e_j,e_k]] + [e_k,[e_j,e_i]] = 0; for
+    odd p the triples with i >= k add nothing (the proof is in the
+    docstring of ``algebra.check_acaa``, which scans the same triples).
+    Each basis bracket is a signed pair index, so a check is a list of terms
     (sign, q1, m, q2) standing for sign * c[q1][m] * c[q2], a vector over
     the basis.
     """

@@ -133,6 +133,12 @@ def skew_algebras(draw, max_dim=5):
     return A
 
 
+def nonabelian_acaa(A):
+    """A filter for ``skew_algebras``: most of the ACAA tables it draws are
+    abelian, which meet fewer laws and give no witness to move."""
+    return any(any(row) for plane in A.tensor for row in plane) and check_acaa(A) is None
+
+
 @st.composite
 def plain_algebras(draw, max_dim=4):
     """Random algebras without symmetry over Q, F_3 and F_5."""

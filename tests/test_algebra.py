@@ -19,9 +19,9 @@ from acaa.linalg import (Matrix, _from_ints, _int_rank, _int_reduce, _int_rows,
                          random_invertible, span)
 
 from conftest import (FIELDS, KERNEL_SETTINGS, commutative_2, full_matrix_2x2,
-                      plain_algebras, random_invertible_over, reference_change_basis,
-                      scalar, seven_dim_table, simple_lie_3, skew_algebras,
-                      upper_triangular_2x2)
+                      nonabelian_acaa, plain_algebras, random_invertible_over,
+                      reference_change_basis, scalar, seven_dim_table, simple_lie_3,
+                      skew_algebras, upper_triangular_2x2)
 
 
 def test_h3_products():
@@ -319,7 +319,9 @@ def test_random_element_seeded():
 # check_acaa, fingerprint and change_basis (in conftest.py), kept here only
 # as test oracles.
 
-def reference_check_acaa(A):
+def reference_acaa_failures(A):
+    """Every basis triple (i, j, k), of all d^3 in lexicographic order,
+    where the linearized law fails."""
     zero = A.field.zero
 
     def bracket_into(i, vec, acc):
@@ -335,8 +337,11 @@ def reference_check_acaa(A):
                 bracket_into(i, A.tensor[j][k], acc)
                 bracket_into(k, A.tensor[j][i], acc)
                 if any(acc):
-                    return (i, j, k)
-    return None
+                    yield (i, j, k)
+
+
+def reference_check_acaa(A):
+    return next(reference_acaa_failures(A), None)
 
 
 def reference_fingerprint(A):
@@ -362,6 +367,53 @@ def reference_fingerprint(A):
 @given(skew_algebras())
 def test_check_acaa_witness_matches_fraction_reference(A):
     assert check_acaa(A) == reference_check_acaa(A)
+
+
+@st.composite
+def planted_tables(draw):
+    """Sparse skew tables with [e_a, e_b] = c e_b planted beside up to two
+    random products.  Then [e_a, [e_a, e_b]] = c^2 e_b, so the triple
+    (a, b, a) fails, and with it the mirrors (k, j, i), k > i, of the
+    triples that fail with i < k: the triples check_acaa does not scan."""
+    field = draw(st.sampled_from(FIELDS))
+    d = draw(st.integers(2, 5))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    products = {}
+    for _ in range(rng.randint(0, 2)):
+        i, j = sorted(rng.sample(range(d), 2))
+        products[(i, j)] = {rng.randrange(d): scalar(field, rng.choice((-2, -1, 1, 2)), 2)}
+    a, b = rng.sample(range(d), 2)
+    c = scalar(field, rng.choice((-1, 1)), rng.randint(1, 3))
+    products[(min(a, b), max(a, b))] = {b: c if a < b else -c}
+    return Algebra.from_products(field, d, products, skew=True)
+
+
+@KERNEL_SETTINGS
+@given(planted_tables())
+def test_check_acaa_witness_matches_reference_on_planted_tables(A):
+    failing = list(reference_acaa_failures(A))
+    assert check_acaa(A) == failing[0]
+    skipped = [(i, j, k) for i, j, k in failing if i >= k]
+    assert any(i == k for i, _, k in skipped) and any(i > k for i, _, k in skipped)
+    # each skipped failure has a failing triple with i < k before it
+    for i, j, k in skipped:
+        earlier = (k, j, i) if i > k else (min(i, j), i, max(i, j))
+        assert earlier < (i, j, k) and earlier in failing
+
+
+@KERNEL_SETTINGS
+@given(skew_algebras().filter(nonabelian_acaa), st.integers(0, 2 ** 32))
+def test_check_acaa_witness_matches_reference_on_nonabelian_tables(A, seed):
+    # a non-abelian ACAA table, then the same with one product moved
+    assert check_acaa(A) is None and reference_check_acaa(A) is None
+    rng = random.Random(seed)
+    t = [[list(row) for row in plane] for plane in A.tensor]
+    i, j = sorted(rng.sample(range(A.dim), 2))
+    k = rng.randrange(A.dim)
+    x = scalar(A.field, rng.choice((-1, 1)), rng.randint(1, 3))
+    t[i][j][k], t[j][i][k] = t[i][j][k] + x, t[j][i][k] - x
+    B = Algebra(A.field, A.dim, t, symmetry="skew")
+    assert check_acaa(B) == reference_check_acaa(B)
 
 
 @KERNEL_SETTINGS
@@ -416,7 +468,7 @@ def test_fingerprint_invariant_under_random_change_basis(A, seed):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(skew_algebras(max_dim=4), st.integers(0, 2 ** 32))
+@given(st.one_of(skew_algebras(max_dim=4), plain_algebras()), st.integers(0, 2 ** 32))
 def test_change_basis_matches_fraction_reference_on_random_algebras(A, seed):
     P = random_invertible_over(A.field, A.dim, random.Random(seed))
     assert change_basis(A, P) == reference_change_basis(A, P)
@@ -439,6 +491,19 @@ def test_change_basis_matches_fraction_reference_on_catalog():
     for _ in range(10):
         P = random_invertible(F5, 3, rng)
         assert change_basis(h3, P) == reference_change_basis(h3, P)
+    # the entries over F_3 and F_5, and a dense table of dimension 7 over
+    # Q, with and without the skew hint
+    examples = [Algebra(F, e.algebra.dim, [[[F.from_int(int(c)) for c in row] for row in plane]
+                                           for plane in e.algebra.tensor], symmetry="skew")
+                for F in FIELDS[1:] for e in all_entries()]
+    dense = Algebra.from_products(Q, 7, {(i, j): {k: scalar(Q, rng.randint(-3, 3), rng.randint(1, 3))
+                                                  for k in range(7)}
+                                         for i in range(7) for j in range(i + 1, 7)}, skew=True)
+    examples += [dense, Algebra(Q, 7, dense.tensor)]
+    for A in examples:
+        P = random_invertible_over(A.field, A.dim, rng)
+        B = change_basis(A, P)
+        assert B.tensor == reference_change_basis(A, P).tensor and B.symmetry == A.symmetry
 
 
 def test_change_basis_rejects_singular_matrix():
@@ -491,7 +556,7 @@ def test_int_reduce_inverts_over_q_and_fp():
 
 
 @KERNEL_SETTINGS
-@given(skew_algebras())
+@given(st.one_of(skew_algebras(), plain_algebras()))
 def test_derived_cube_rows_span_the_fraction_spaces(A):
     d = A.dim
     products = [A.tensor[i][j] for i in range(d) for j in range(d)]
@@ -499,6 +564,9 @@ def test_derived_cube_rows_span_the_fraction_spaces(A):
              for v in (A.multiply_coords(u, A.basis(k).coords),
                        A.multiply_coords(A.basis(k).coords, u))]
     derived_rows, cube_rows = derived_cube_rows(A)
+    # a basis of A*A, and x e_k, e_k x for each of its rows x
+    assert len(derived_rows) == span(A.field, products, d).dim <= d
+    assert len(cube_rows) <= 2 * d * len(derived_rows)
     as_field = [[[A.field.from_int(v) for v in row] for row in rows]
                 for rows in (derived_rows, cube_rows)]
     assert span(A.field, as_field[0], d) == span(A.field, products, d)

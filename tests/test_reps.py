@@ -17,10 +17,10 @@ from acaa.reps import (Representation, ad_matrix, adjoint_representation,
                        is_faithful)
 from acaa.serialize import representation_from_json, representation_to_json
 
-from conftest import (FIELDS, KERNEL_SETTINGS, plain_algebras, random_invertible_over,
-                      reference_check_ad_identities, reference_check_representation,
-                      reference_check_weighted_antiderivation, scalar, simple_lie_3,
-                      skew_algebras)
+from conftest import (FIELDS, KERNEL_SETTINGS, nonabelian_acaa, plain_algebras,
+                      random_invertible_over, reference_check_ad_identities,
+                      reference_check_representation, reference_check_weighted_antiderivation,
+                      scalar, simple_lie_3, skew_algebras)
 
 
 def test_ad_of_central_element_is_zero():
@@ -360,11 +360,6 @@ def assert_ad_identities_follow_acaa(A):
                 f"precondition failed: triple-bracket law fails at {w}")):
             check_ad_identities(A)
     return ref
-
-
-def nonabelian_acaa(A):
-    """Most drawn ACAA tables are abelian; their images meet fewer laws."""
-    return any(any(row) for plane in A.tensor for row in plane) and check_acaa(A) is None
 
 
 @KERNEL_SETTINGS
