@@ -14,6 +14,9 @@ violating tuple of basis indices in lexicographic order.
 """
 
 from collections import namedtuple
+from itertools import repeat
+from math import gcd
+from operator import floordiv, itemgetter, mod
 
 from .linalg import Matrix, _from_ints, _int_rank, _int_reduce, _int_scale
 
@@ -82,10 +85,37 @@ class Algebra:
         self.symmetry = symmetry
         self.name = name
         self._int = None  # built on first use, see int_table
-        if symmetry == "skew":
+        self._check_skew_hint()
+
+    def _check_skew_hint(self):
+        if self.symmetry == "skew":
             w = check_anticommutative(self)
             if w is not None:
                 raise ValueError(f"tensor marked skew but fails at basis pair {w}")
+
+    @classmethod
+    def _from_int_rows(cls, field, ints, den, symmetry):
+        """The algebra with e_a e_b = ints[a][b] / den, ints[a][b] a list of
+        d ints (over F_p den = 1 and the ints are read mod p).  Its
+        ``int_table`` is built from the ints, scaled as ``int_table`` would
+        scale the Fractions: over Q, with g = gcd(den, all ints),
+        lam = |den| / g and x / den becomes sign(den) x / g.  The skew hint
+        is validated on that table."""
+        p = field.characteristic
+        if p:
+            lam, op, arg = 1, mod, p
+        else:
+            g = gcd(den, *(n for plane in ints for row in plane for n in row))
+            lam, op, arg = abs(den) // g, floordiv, (1 if den > 0 else -1) * g
+        vec = _from_ints(field, den)
+        A = cls.__new__(cls)
+        A.field, A.dim, A.labels, A.symmetry, A.name = field, len(ints), None, symmetry, None
+        A.tensor = tuple(tuple(map(vec, plane)) for plane in ints)
+        nonzero = itemgetter(1)  # of a (k, c) pair
+        A._int = (p, lam, tuple(tuple(tuple(filter(nonzero, enumerate(map(op, row, repeat(arg)))))
+                                      for row in plane) for plane in ints))
+        A._check_skew_hint()
+        return A
 
     @classmethod
     def from_products(cls, field, dim, products, labels=None, skew=False, name=None):
@@ -471,44 +501,47 @@ def derived_cube_rows(A: Algebra):
     rows are the nonzero products e_i e_j reduced by ``_int_reduce`` (mod p
     over F_p), a basis of A*A; the cube rows are x e_k and e_k x for each
     derived row x and every k, which span the cube space by bilinearity.
-    So there are rank <= d derived rows and 2 d rank cube rows.  Returns
+    For a skew table e_j e_i = -e_i e_j and x e_k = -e_k x, so only the
+    products with i < j and the rows e_k x are formed.  So there are
+    rank <= d derived rows and at most 2 d rank cube rows.  Returns
     (derived, cubes)."""
     p, _, t = A.int_table()
     d = A.dim
+    skew = A.symmetry == "skew"
     products = []
-    for plane in t:
-        for u in plane:
+    for i, plane in enumerate(t):
+        for u in plane[i + 1:] if skew else plane:
             if u:
                 row = [0] * d
                 for k, c in u:
                     row[k] = c
                 products.append(row)
     derived = _int_reduce(products, d, p)[0]
-    cols = [[t[m][k] for m in range(d)] for k in range(d)]
-    cubes = []
-    for x in map(_sparse, derived):
-        for k in range(d):
-            cubes.append(_mul_into([0] * d, cols[k], x))
-            cubes.append(_mul_into([0] * d, t[k], x))
+    # x e_k through the columns of t, e_k x through its rows
+    planes = (t,) if skew else ([[t[m][k] for m in range(d)] for k in range(d)], t)
+    cubes = [_mul_into([0] * d, plane[k], x)
+             for x in map(_sparse, derived) for k in range(d) for plane in planes]
     return derived, cubes
 
 
 def fingerprint(A: Algebra) -> Fingerprint:
+    """The dimensions of A, of A*A, of the annihilator and of the cube
+    space, ranked on ``Algebra.int_table`` (mod p over F_p).  x is in the
+    annihilator iff x e_j = 0 and e_j x = 0 for every j: the kernel of the
+    rows (c[i][j][k])_i and (c[j][i][k])_i, of which a skew table needs
+    only the first."""
     d = A.dim
     p, _, t = A.int_table()
     derived, cubes = derived_cube_rows(A)
 
-    # x is in the annihilator iff x*e_j = 0 and e_j*x = 0 for every j:
-    # left[j][k][i] = c[i][j][k] and right[j][k][i] = c[j][i][k].
-    left = [[[0] * d for _ in range(d)] for _ in range(d)]
-    right = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            for k, c in t[i][j]:
-                left[j][k][i] = c
-                right[i][k][j] = c
-    ann_rows = [row for half in (left, right) for plane in half for row in plane]
-
+    def rows(table):  # rows[j][k][i] = table[i][j][k]
+        out = [[[0] * d for _ in range(d)] for _ in range(d)]
+        for i, plane in enumerate(table):
+            for j, u in enumerate(plane):
+                for k, c in u:
+                    out[j][k][i] = c
+        return [row for plane in out for row in plane]
+    ann_rows = rows(t) if A.symmetry == "skew" else rows(t) + rows(zip(*t))
     return Fingerprint(d, len(derived), d - _int_rank(ann_rows, d, p),
                        _int_rank(cubes, d, p))
 
@@ -534,13 +567,17 @@ def change_basis(A: Algebra, P: Matrix) -> Algebra:
     """Rewrite the tensor in the basis whose vectors are the columns of P.
 
     The new constants are P^-1 c(P e_a, P e_b).  In integers: with M = mu P
-    and lam c integral (``Algebra.int_table``), fraction-free elimination
-    gives R = det * M^-1, and R applied to (lam c)(M e_a, M e_b) is
-    det * mu * lam times the result, which is divided out once per entry.
-    Every vector is sparse, so each of the three stages (the rows
-    e_i * (M e_b), their combination w, and R w) is one ``_mul_into`` per
-    output row.  For a skew source only a < b is formed; the products with
-    a > b are the negatives and the diagonal is zero.
+    and lam c integral (``Algebra.int_table``), U holds the source's n
+    nonzero products e_i e_j (i < j if skew) as columns, and fraction-free
+    elimination of [M | U] solves for them: det M^-1 U.  As
+    (M e_a)(M e_b) is their sum weighted by M[i][a] M[j][b] (skew: the
+    minor M[i][a] M[j][b] - M[j][a] M[i][b]), each new product is one
+    ``_mul_into`` over the n solved vectors, det * mu * lam times the
+    result, which ``Algebra._from_int_rows`` divides out.  For a skew
+    source only a < b is formed; the products with a > b are the negatives
+    and the diagonal is zero.  The work per new product grows with n, so
+    dense sources (n near d^2) would be cheaper with M inverted and applied
+    to each new product instead.
     """
     if P.field != A.field or P.shape != (A.dim, A.dim):
         raise ValueError("change of basis matrix has wrong shape or field")
@@ -548,24 +585,26 @@ def change_basis(A: Algebra, P: Matrix) -> Algebra:
     d = A.dim
     mu, to_int = _int_scale(A.field, (x for row in P.entries for x in row))
     M = [[to_int(x) for x in row] for row in P.entries]
-    rows, pivots, det = _int_reduce(
-        [row + [int(i == j) for j in range(d)] for i, row in enumerate(M)], d, p)
+    skew = A.symmetry == "skew"
+    pairs = [(i, j) for i in range(d) for j in range(i + 1 if skew else 0, d) if t[i][j]]
+    U = [[0] * len(pairs) for _ in range(d)]
+    for q, (i, j) in enumerate(pairs):
+        for k, c in t[i][j]:
+            U[k][q] = c
+    rows, pivots, det = _int_reduce([row + u for row, u in zip(M, U)], d, p)
     if pivots != list(range(d)):
         raise ValueError("matrix is singular")
-    R = [_sparse(col) for col in zip(*(row[d:] for row in rows))]
-    vec = _from_ints(A.field, det * mu * lam)
-    cols = [_sparse(col) for col in zip(*M)]
-    # by[b][i] = e_i * (M e_b), so that (M e_a) * (M e_b) = sum_i M[i][a] by[b][i]
-    by = [[_sparse(_mul_into([0] * d, t[i], col)) for i in range(d)] for col in cols]
-    skew = A.symmetry == "skew"
-    tensor = [[vec([0] * d)] * d for _ in range(d)]
-    for a, col in enumerate(cols):
+    solved = [_sparse(col) for col in zip(*(row[d:] for row in rows))]
+    ints = [[[0] * d] * d for _ in range(d)]
+    for a in range(d):
         for b in range(a + 1 if skew else 0, d):
-            x = _mul_into([0] * d, R, _sparse(_mul_into([0] * d, by[b], col)))
-            tensor[a][b] = vec(x)
+            weights = [(q, w) for q, (i, j) in enumerate(pairs)
+                       if (w := M[i][a] * M[j][b] - M[j][a] * M[i][b] if skew
+                           else M[i][a] * M[j][b])]
+            x = ints[a][b] = _mul_into([0] * d, solved, weights)
             if skew:
-                tensor[b][a] = vec([-v for v in x])
-    return Algebra(A.field, d, tensor, symmetry=A.symmetry)
+                ints[b][a] = [-v for v in x]
+    return Algebra._from_int_rows(A.field, ints, det * mu * lam, A.symmetry)
 
 
 def random_element(A: Algebra, rng, lo=-3, hi=3) -> Element:

@@ -102,23 +102,27 @@ def scalar(field, draw_int, den):
 @st.composite
 def skew_algebras(draw, max_dim=5):
     """Random anticommutative algebras over Q (fractional entries), F_3 and
-    F_5, of three kinds: 2-step nilpotent ones (the first s basis vectors
+    F_5, of four kinds: 2-step nilpotent ones (the first s basis vectors
     bracket into the span of the others, which is central), so satisfying
-    the cyclic law, seen in a random basis; the same with one product
-    perturbed, which moves the first witness away from the start; and
-    plain random tables, which mostly fail early."""
+    the cyclic law, seen in a random basis; the same with s >= 2 and a
+    nonzero bracket, so never abelian (random skew forms into a central
+    block); a 2-step one with one product perturbed, which moves the first
+    witness away from the start; and plain random tables, which mostly
+    fail early."""
     field = draw(st.sampled_from(FIELDS))
-    d = draw(st.integers(2, max_dim))
-    kind = draw(st.sampled_from(("two-step", "perturbed", "random")))
+    kind = draw(st.sampled_from(("two-step", "central", "perturbed", "random")))
+    d = draw(st.integers(3 if kind == "central" else 2, max_dim))
     density = draw(st.sampled_from((0.2, 0.5, 1.0)))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    s = d if kind == "random" else rng.randint(1, d - 1)
+    s = d if kind == "random" else rng.randint(2 if kind == "central" else 1, d - 1)
     targets = range(d) if kind == "random" else range(s, d)
     products = {}
     for i in range(s):
         for j in range(i + 1, s):
             products[(i, j)] = {k: scalar(field, rng.randint(-4, 4), rng.randint(1, 6))
                                 for k in targets if rng.random() < density}
+    if kind == "central":
+        products[(0, 1)][s] = scalar(field, rng.choice((-2, -1, 1, 2)), rng.randint(1, 6))
     A = Algebra.from_products(field, d, products, skew=True)
     if kind == "random":
         return A
@@ -134,8 +138,9 @@ def skew_algebras(draw, max_dim=5):
 
 
 def nonabelian_acaa(A):
-    """A filter for ``skew_algebras``: most of the ACAA tables it draws are
-    abelian, which meet fewer laws and give no witness to move."""
+    """A filter for ``skew_algebras``: many of the ACAA tables it draws are
+    abelian (all those of dimension 2), which meet fewer laws and give no
+    witness to move."""
     return any(any(row) for plane in A.tensor for row in plane) and check_acaa(A) is None
 
 

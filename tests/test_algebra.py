@@ -417,7 +417,7 @@ def test_check_acaa_witness_matches_reference_on_nonabelian_tables(A, seed):
 
 
 @KERNEL_SETTINGS
-@given(skew_algebras())
+@given(st.one_of(skew_algebras(), skew_algebras().filter(nonabelian_acaa)))
 def test_fingerprint_matches_fraction_reference(A):
     assert fingerprint(A).as_tuple() == reference_fingerprint(A)
 
@@ -491,19 +491,24 @@ def test_change_basis_matches_fraction_reference_on_catalog():
     for _ in range(10):
         P = random_invertible(F5, 3, rng)
         assert change_basis(h3, P) == reference_change_basis(h3, P)
-    # the entries over F_3 and F_5, and a dense table of dimension 7 over
-    # Q, with and without the skew hint
+    # the entries over Q, F_3 and F_5 and dense tables of dimension 7, with
+    # and without the skew hint, sparse (n <= d nonzero products) and dense
+    # (n up to d^2) sources: the integer table built with the result is the
+    # one int_table builds from its Fractions
     examples = [Algebra(F, e.algebra.dim, [[[F.from_int(int(c)) for c in row] for row in plane]
                                            for plane in e.algebra.tensor], symmetry="skew")
-                for F in FIELDS[1:] for e in all_entries()]
-    dense = Algebra.from_products(Q, 7, {(i, j): {k: scalar(Q, rng.randint(-3, 3), rng.randint(1, 3))
-                                                  for k in range(7)}
-                                         for i in range(7) for j in range(i + 1, 7)}, skew=True)
-    examples += [dense, Algebra(Q, 7, dense.tensor)]
+                for F in FIELDS for e in all_entries()]
+    for F in FIELDS:
+        examples.append(Algebra.from_products(
+            F, 7, {(i, j): {k: scalar(F, rng.randint(-3, 3), rng.randint(1, 3)) for k in range(7)}
+                   for i in range(7) for j in range(i + 1, 7)}, skew=True))
+    examples += [Algebra(A.field, A.dim, A.tensor) for A in examples]
     for A in examples:
         P = random_invertible_over(A.field, A.dim, rng)
         B = change_basis(A, P)
         assert B.tensor == reference_change_basis(A, P).tensor and B.symmetry == A.symmetry
+        rebuilt = Algebra(B.field, B.dim, B.tensor, symmetry=B.symmetry)
+        assert B.int_table() == rebuilt.int_table()
 
 
 def test_change_basis_rejects_singular_matrix():
