@@ -18,7 +18,7 @@ from itertools import repeat
 from math import gcd
 from operator import floordiv, itemgetter, mod
 
-from .linalg import Matrix, _from_ints, _int_rank, _int_reduce, _int_scale
+from .linalg import Matrix, _from_ints, _int_rank, _int_reduce, _int_rows, _int_scale
 
 # Order of the twelve degree-3 monomials in the general quadratic identity:
 # first the left-bracketed products (x_a x_b) x_c, then the right-bracketed
@@ -167,11 +167,10 @@ class Algebra:
         fingerprint.
         """
         if self._int is None:
-            lam, to_int = _int_scale(self.field, (c for plane in self.tensor
-                                                  for row in plane for c in row if c))
+            d = self.dim
+            lam, rows = _int_rows(self.field, (row for plane in self.tensor for row in plane))
             self._int = (self.field.characteristic, lam,
-                         tuple(tuple(tuple((k, to_int(c)) for k, c in enumerate(row) if c)
-                                     for row in plane) for plane in self.tensor))
+                         tuple(tuple(rows[i * d:(i + 1) * d]) for i in range(d)))
         return self._int
 
     def multiply_coords(self, x, y):
@@ -584,7 +583,7 @@ def change_basis(A: Algebra, P: Matrix) -> Algebra:
     p, lam, t = A.int_table()
     d = A.dim
     mu, to_int = _int_scale(A.field, (x for row in P.entries for x in row))
-    M = [[to_int(x) for x in row] for row in P.entries]
+    M = [list(map(to_int, row)) for row in P.entries]
     skew = A.symmetry == "skew"
     pairs = [(i, j) for i in range(d) for j in range(i + 1 if skew else 0, d) if t[i][j]]
     U = [[0] * len(pairs) for _ in range(d)]

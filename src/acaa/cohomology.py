@@ -26,20 +26,21 @@ the cochain, so the integer result is exactly lam * mu times the field
 result.  It is converted back once per entry: n / (lam mu) over Q, the
 residue of n over F_p (where lam = mu = 1), one shared value per distinct
 n.  The skew test on C^2 reads the same integer rows, and the cyclic-sum
-certificate sums integers, once per rotation orbit of (x, y, z).
+certificate sums integers, once per rotation orbit of (x, y, z).  d2 is
+g - g o rot with g(x,y,z) = phi(x,[y,z]) + [x,phi(y,z)], rot(x,y,z) =
+(y,z,x).  On a skew-marked algebra d1(f) and g(x, .) are skew and d2 is
+symmetric in (x, y), so half of each is formed and mirrored.
+``d2_after_d1`` hands the integers of d1(f) to d2 unconverted.
 """
 
 from collections import namedtuple
+from itertools import chain, combinations, combinations_with_replacement, product
+from operator import itemgetter, neg, sub
 
 from .algebra import (Algebra, Element, _mul_into, _nonzero, _skew_witness, check_acaa,
                       check_anticommutative, derived_cube_rows)
 from .linalg import Matrix, _from_ints, _int_reduce, _int_rows, _int_scale, random_matrix
 from .reps import _derivation_defect, ad_matrix
-
-
-def zero_cochain2(A: Algebra):
-    z = (A.field.zero,) * A.dim
-    return tuple(tuple(z for _ in range(A.dim)) for _ in range(A.dim))
 
 
 def _int_planes(A: Algebra, phi):
@@ -57,12 +58,7 @@ def is_skew(A: Algebra, phi) -> bool:
 
 
 def is_sym12(A: Algebra, psi) -> bool:
-    for i in range(A.dim):
-        for j in range(i + 1, A.dim):
-            for k in range(A.dim):
-                if psi[i][j][k] != psi[j][i][k]:
-                    return False
-    return True
+    return all(psi[i][j] == psi[j][i] for i in range(A.dim) for j in range(i + 1, A.dim))
 
 
 def delta0(A: Algebra, a: Element) -> Matrix:
@@ -70,31 +66,62 @@ def delta0(A: Algebra, a: Element) -> Matrix:
     return ad_matrix(A, a)
 
 
-def delta1(A: Algebra, f: Matrix):
-    """d1(f) as a skew bilinear tensor.  A must be anticommutative.
+def _d1_ints(A: Algebra, f: Matrix):
+    """(p, den, H), H[i][j] the ints of den * d1(f)(e_i, e_j): H_1 of
+    ``reps._derivation_defect``.  On a skew-marked A, H_1 is skew, so only
+    i < j is formed and H[j][i] is its negation."""
+    p, den, h = _derivation_defect(A, f, 1)
+    d, r = A.dim, range(A.dim)
+    if A.symmetry != "skew":
+        return p, den, [[h(i, j) for j in r] for i in r]
+    H = [[[0] * d] * d for _ in r]
+    for i, j in combinations(r, 2):
+        H[i][j] = h(i, j)
+        H[j][i] = list(map(neg, H[i][j]))
+    return p, den, H
 
-    It is H_1 of ``reps._derivation_defect``, converted back once per entry.
-    """
-    _, den, h = _derivation_defect(A, f, 1)
-    vec, r = _from_ints(A.field, den), range(A.dim)
-    return tuple(tuple(vec(h(i, j)) for j in r) for i in r)
+
+def delta1(A: Algebra, f: Matrix):
+    """d1(f) as a skew bilinear tensor, ``_d1_ints`` converted back once
+    per entry.  A must be anticommutative."""
+    _, den, H = _d1_ints(A, f)
+    vec = _from_ints(A.field, den)
+    return tuple(tuple(map(vec, row)) for row in H)
 
 
 def delta2(A: Algebra, phi):
     """d2(phi) as a trilinear tensor, symmetric in the first two slots."""
-    p, lam, t = A.int_table()
-    d, r = A.dim, range(A.dim)
     mu, P = _int_planes(A, phi)  # P[i] is the plane of phi(e_i, .)
-    if _skew_witness(p, P) is not None:
+    if _skew_witness(A.field.characteristic, P) is not None:
         raise ValueError("cochain is not skew-symmetric")
+    return _delta2_ints(A, P, mu)
+
+
+def _delta2_ints(A: Algebra, P, mu):
+    """d2 of the skew cochain whose sparse integer rows P[i][j] are mu times
+    phi(e_i, e_j): each cell is G[i][j][k] - G[j][k][i], with G the integer
+    vectors of g(x,y,z) = phi(x,[y,z]) + [x,phi(y,z)].  On a skew-marked A,
+    g is skew in (y, z), so only j < k is formed, and the cell is symmetric
+    in (i, j), so only i <= j is converted and the mirror shares its tuple.
+    """
+    _, lam, t = A.int_table()
+    d, r = A.dim, range(A.dim)
     vec = _from_ints(A.field, lam * mu)
 
-    def cell(i, j, k):
-        acc = _mul_into([0] * d, P[i], t[j][k])
-        _mul_into(acc, t[i], P[j][k])
-        _mul_into(acc, P[j], t[k][i], -1)
-        return vec(_mul_into(acc, t[j], P[k][i], -1))
-    return tuple(tuple(tuple(cell(i, j, k) for k in r) for j in r) for i in r)
+    def g(i, j, k):
+        return _mul_into(_mul_into([0] * d, P[i], t[j][k]), t[i], P[j][k])
+    if A.symmetry != "skew":
+        G = [[[g(i, j, k) for k in r] for j in r] for i in r]
+        return tuple(tuple(tuple(vec(map(sub, G[i][j][k], G[j][k][i])) for k in r)
+                           for j in r) for i in r)
+    G = [[[[0] * d] * d for _ in r] for _ in r]
+    for i, (j, k) in product(r, combinations(r, 2)):
+        G[i][j][k] = g(i, j, k)
+        G[i][k][j] = list(map(neg, G[i][j][k]))
+    out = [[None] * d for _ in r]
+    for i, j in combinations_with_replacement(r, 2):
+        out[i][j] = out[j][i] = tuple(vec(map(sub, G[i][j][k], G[j][k][i])) for k in r)
+    return tuple(map(tuple, out))
 
 
 def delta3(A: Algebra, psi):
@@ -159,8 +186,8 @@ def cyclic_sum_witness(A: Algebra, psi):
     """
     p, d = A.field.characteristic, A.dim
     cells = [v for plane in psi for row in plane for v in row]
-    to_int = _int_scale(A.field, [x for v in cells for x in v if x])[1]
-    ints = [[to_int(x) for x in v] for v in cells]
+    to_int = _int_scale(A.field, chain.from_iterable(cells))[1]
+    ints = [list(map(to_int, v)) for v in cells]
 
     def cell(i, j, k):
         return ints[(i * d + j) * d + k]
@@ -176,7 +203,15 @@ def cyclic_sum_witness(A: Algebra, psi):
 
 
 def d2_after_d1(A: Algebra, f: Matrix):
-    return delta2(A, delta1(A, f))
+    """delta2(A, delta1(A, f)), with the ints of ``_d1_ints`` (mod p over
+    F_p) handed to the kernel of ``delta2`` as its rows.  They pass the
+    skew test of ``delta2`` unless A is skew-marked, where they are skew."""
+    p, den, H = _d1_ints(A, f)
+    P = [[tuple(filter(itemgetter(1), enumerate([c % p for c in n] if p else n)))
+          for n in row] for row in H]
+    if A.symmetry != "skew" and _skew_witness(p, P) is not None:
+        raise ValueError("cochain is not skew-symmetric")
+    return _delta2_ints(A, P, den)
 
 
 def d3_after_d2(A: Algebra, phi):

@@ -9,15 +9,18 @@ basis, which makes subspace equality a syntactic comparison.
 
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter, itemgetter
 
 
 def _int_scale(field, values):
     """(lam, to_int) with to_int(x) = lam * x as an int and lam the lcm of
-    the denominators of values over Q; over F_p lam = 1 and to_int(x) is
-    the residue of x."""
+    the denominators of values over Q, read once (zeros may be among them);
+    over F_p lam = 1 and to_int(x) is the residue of x."""
     if field.characteristic:
-        return 1, lambda x: x.r
-    lam = lcm(*(x.denominator for x in values))
+        return 1, attrgetter("r")
+    lam = lcm(*map(attrgetter("denominator"), values))
+    if lam == 1:
+        return 1, attrgetter("numerator")
     return lam, lambda x: x.numerator * (lam // x.denominator)
 
 
@@ -45,10 +48,11 @@ def _from_ints(field, den):
 
 def _int_rows(field, vectors):
     """(lam, rows): the coordinate vectors scaled to integers together, as
-    in ``_int_scale``, each row as its sparse (index, int) pairs."""
+    in ``_int_scale``, each row as its sparse (index, int) pairs; an entry
+    is dropped when its int is 0 (over F_p, when it is 0 mod p)."""
     vectors = list(vectors)
-    lam, to_int = _int_scale(field, [x for v in vectors for x in v if x])
-    return lam, [tuple((k, to_int(x)) for k, x in enumerate(v) if x) for v in vectors]
+    lam, to_int = _int_scale(field, (x for v in vectors for x in v))
+    return lam, [tuple(filter(itemgetter(1), enumerate(map(to_int, v)))) for v in vectors]
 
 
 def _int_reduce(rows, ncols, p):
@@ -105,8 +109,8 @@ def _rref(field, rows):
     """
     p = field.characteristic
     ncols = len(rows[0]) if rows else 0
-    to_int = _int_scale(field, [x for row in rows for x in row])[1]
-    out, pivots, det = _int_reduce([[to_int(x) for x in row] for row in rows], ncols, p)
+    to_int = _int_scale(field, (x for row in rows for x in row))[1]
+    out, pivots, det = _int_reduce([list(map(to_int, row)) for row in rows], ncols, p)
     vec = _from_ints(field, det)
     out = [list(vec(row)) for row in out]
     return out + [[field.zero] * ncols for _ in range(len(rows) - len(out))], pivots

@@ -2,8 +2,8 @@
 
 A series has no constant term and carries coefficients c_1 .. c_N for a
 fixed truncation order N.  Composition and compositional inversion are
-exact; the Koszul residual measures how far a pair of generating series is
-from satisfying the functional equation g_dual(-g(-t)) = t.
+exact.  ``koszul_residual`` is not a Koszulity test (see there); on these
+signed series a Koszul pair P, P! satisfies g_P(g_P!(t)) = t.
 """
 
 from fractions import Fraction
@@ -169,9 +169,10 @@ def koszul_residual(g_op: TruncatedSeries, g_dual: TruncatedSeries,
                     order: int, swap_roles: bool = False) -> TruncatedSeries:
     """g_dual(-g_op(-t)) - t, truncated at the given order.
 
-    A Koszul pair satisfies the functional equation exactly, so any
-    nonzero coefficient certifies failure.  ``swap_roles`` exchanges the
-    two series, since the equation's orientation is a convention.
+    This certifies nothing about Koszulity: the series come signed from
+    ``generating_series``, and the extra signs here make the t^2
+    coefficient 1 for every pair with d_2 = 1 (Lie/Com gives
+    (0, 1, 1, 1, 1, 1)).  ``swap_roles`` exchanges the two series.
     """
     if swap_roles:
         g_op, g_dual = g_dual, g_op

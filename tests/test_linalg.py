@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acaa.fields import PrimeField, Q
-from acaa.linalg import (Matrix, _from_ints, _rref, random_invertible, random_matrix,
-                         rank_kernel, span, subspace_equal)
+from acaa.linalg import (Matrix, _from_ints, _int_rows, _int_scale, _rref, random_invertible,
+                         random_matrix, rank_kernel, span, subspace_equal)
 
 
 def test_identity_rank_kernel():
@@ -74,6 +74,32 @@ def test_from_ints_values_and_shared_objects():
         assert [n for n, v in zip(ns, out) if v is F.zero] == [n for n in ns if n % p == 0]
         assert out[5] is out[8] and out[1] is out[9]
         assert vec([-7])[0] is out[0]
+
+
+def test_int_scale_and_int_rows_contract():
+    # lam is the lcm of the denominators and to_int(x) == lam * x as an int,
+    # zeros included; over F_p lam = 1 and to_int gives residues.  The
+    # inputs are generators, which can be read only once.
+    for ns, lam in (((3, 0, -5, 7, 0, -1), 1),
+                    ((Fraction(1, 2), 0, Fraction(-2, 3), 4, Fraction(5, 6), -1), 6)):
+        xs = [Fraction(n) for n in ns]
+        got, to_int = _int_scale(Q, (x for x in xs))
+        assert got == lam
+        assert all(type(to_int(x)) is int and to_int(x) == lam * x for x in xs)
+        vectors = [xs, [Q.zero] * 3, xs[::-1]]
+        got, rows = _int_rows(Q, (v for v in vectors))
+        assert got == lam
+        assert rows == [tuple((k, lam * x) for k, x in enumerate(v) if x) for v in vectors]
+    for p in (3, 5):
+        F = PrimeField(p)
+        vectors = [[F.from_int(n) for n in row]
+                   for row in ((0, p, -1, 2), (-p, 0, 2 * p, 0), (4, 3 * p, 1, -2))]
+        lam, to_int = _int_scale(F, (x for v in vectors for x in v))
+        assert lam == 1
+        assert all(to_int(x) == x.r and 0 <= to_int(x) < p for v in vectors for x in v)
+        lam, rows = _int_rows(F, (v for v in vectors))
+        assert lam == 1
+        assert rows == [((2, p - 1), (3, 2)), (), ((0, 4 % p), (2, 1), (3, p - 2))]
 
 
 def test_span_empty():

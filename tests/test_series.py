@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -99,6 +100,20 @@ def test_koszul_residual_self_test_dual_pair():
     d = dual_generating_series(6)
     res = koszul_residual(d, d, 6)
     assert res.coeff(2) == 1
+
+
+def test_known_koszul_pairs_satisfy_the_signed_equation():
+    # positive controls: on the signed series a Koszul pair P, P! satisfies
+    # g_P(g_P!(t)) = t, while koszul_residual reads 1 at t^2 for Lie/Com
+    order = 6
+    lie = generating_series([factorial(n - 1) for n in range(1, order + 1)], order)
+    com = generating_series([1] * order, order)
+    assoc = generating_series([factorial(n) for n in range(1, order + 1)], order)
+    t = TruncatedSeries.t(order)
+    assert compose(lie, com) == t
+    assert compose(com, lie) == t
+    assert compose(assoc, assoc) == t
+    assert koszul_residual(lie, com, order).coeffs == (0, 1, 1, 1, 1, 1)
 
 
 def test_koszul_residual_requires_minus_t():
