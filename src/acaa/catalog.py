@@ -3,18 +3,17 @@
 The classification lists cover dimensions 2..5, where every algebra
 satisfying the cyclic triple-bracket law is one of the catalog entries up
 to isomorphism.  ``enumerate_finite`` re-derives the dimension-2 and -3
-statements over F_3 and F_5 by brute force: it enumerates every
-anticommutative tensor, filters by the linearized law, and counts
-GL(n, p)-orbits on the survivors by closing them under a generating set of
-n(n-1) + 1 matrices (``_gl_generators``); no group table is built.  Codes
-are decoded a chunk at a time into int8 base-p digits by int32 floor
-division (``_decode``).  The filter (``_acaa_mask``) is staged and
-compacting: the basis-triple checks run cheapest first, each only on the
-tensors that passed the ones before, in int8 arithmetic on digit-major
-rows, which holds every partial sum for p <= 5 (|sum| <= 64).
-``reps.h3_faithfulness_search`` shares ``_decode``: its square-zero filter
-is one broadcast boolean grid over F_p^9, and its pair scan is staged over
-the entries of XY + YX.
+statements over F_3 and F_5 exhaustively: it finds every anticommutative
+tensor that satisfies the linearized law, and counts GL(n, p)-orbits on
+the survivors by closing them under a generating set of n(n-1) + 1
+matrices (``_gl_generators``); no group table is built.  The law is a
+list of quadratic equations in the tensor's base-p digits, and
+``_staged_filter`` solves them digit by digit: each partial tensor is
+dropped as soon as an equation whose digits are all set fails, in int8
+arithmetic, which holds every sum for p <= 5 (|sum| <= 64); at dimension
+3 and p = 5 at most 1,125 partial tensors are alive, not 5^9 codes.
+``reps.h3_faithfulness_search`` shares the filter for its square-zero
+matrices, and its pair scan is staged over the entries of XY + YX.
 
 In characteristic 3 the law implies the Jacobi identity: with
 [x,[y,z]] = [z,[x,y]], the Jacobi sum is 3 [x,[y,z]] = 0.  So every
@@ -26,7 +25,7 @@ from collections import Counter, namedtuple
 from functools import cache
 from itertools import combinations
 
-from .algebra import _SIZE_GUARD, Algebra, Fingerprint, check_acaa, fingerprint
+from .algebra import Algebra, Fingerprint, check_acaa, fingerprint
 from .fields import Q, is_prime
 from .free import free_acaa
 
@@ -108,34 +107,46 @@ def recognize(A: Algebra) -> str:
 
 # --- exhaustive enumeration over F_p ---------------------------------------
 
-_CHUNK = 1 << 17
+def _staged_filter(equations, n, p):
+    """The points of F_p^n where every equation vanishes mod p, as int8
+    digit rows in code order (digit q has weight p^q).
 
-
-def _decode(codes, count, p):
-    """The base-p digits of each code, least significant first, as int8,
-    shaped (len(codes), count).  Codes are below 2^31 (the size guards keep
-    them there), so the digits come from int32 floor division: each step
-    writes c - (c // p) p into one row of a digit-major array, and the
-    result is its transposed view."""
+    An equation is a list of terms (sign, a, b) standing for
+    sign * x_a * x_b.  The digits are set one at a time, in order of first
+    use by the shortest equations; each step repeats the live partial
+    points p times, appends the new digit, and drops every point that fails
+    an equation whose digits are now all set, so an equation is tested once,
+    on the points that passed the ones before it.  The arithmetic is in
+    int8, which holds every sum for p <= 5 and at most 4 terms (|sum| <= 64).
+    """
     import numpy as np
 
-    out = np.empty((count, len(codes)), dtype=np.int8)
-    c = codes.astype(np.int32)
-    nc = np.empty_like(c)
-    for q in range(count):
-        np.floor_divide(c, p, out=nc)
-        np.subtract(c, nc * p, out=out[q], casting="unsafe")
-        c, nc = nc, c
-    return out.T
+    equations = sorted(equations, key=len)
+    order = list(dict.fromkeys([v for eq in equations for _, a, b in eq for v in (a, b)]
+                               + list(range(n))))
+    step = {v: s for s, v in enumerate(order)}
+    due = [[] for _ in range(n)]
+    for eq in equations:
+        terms = [(sign, step[a], step[b]) for sign, a, b in eq]
+        due[max(max(a, b) for _, a, b in terms)].append(terms)
+    P = np.zeros((0, 1), dtype=np.int8)
+    for s in range(n):
+        digit = np.repeat(np.arange(p, dtype=np.int8), P.shape[1])
+        P = np.vstack([np.tile(P, p), digit])
+        for terms in due[s]:
+            acc = sum(sign * P[a] * P[b] for sign, a, b in terms)
+            P = P[:, acc % p == 0]
+    rows = P[[step[v] for v in range(n)]]
+    return np.ascontiguousarray(rows[:, np.lexsort(rows)].T)
 
 
 def _encode(C, p):
-    """The codes of the tensors in C, shaped (n, pairs, dim): the inverse of
-    ``_decode``, with the digits in pair-major order, as int64."""
+    """The codes of the digit rows C, shaped (n, ...), read in C order with
+    digit q of weight p^q, as int64."""
     import numpy as np
 
-    n, npairs, dim = C.shape
-    return C.reshape(n, npairs * dim) @ p ** np.arange(npairs * dim, dtype=np.int64)
+    flat = C.reshape(len(C), -1)
+    return flat @ p ** np.arange(flat.shape[1], dtype=np.int64)
 
 
 def _acaa_checks(dim, pairs):
@@ -144,9 +155,9 @@ def _acaa_checks(dim, pairs):
     Check (i, j, k), i < k, is [e_i,[e_j,e_k]] + [e_k,[e_j,e_i]] = 0; for
     odd p the triples with i >= k add nothing (the proof is in the
     docstring of ``algebra.check_acaa``, which scans the same triples).
-    Each basis bracket is a signed pair index, so a check is a list of terms
-    (sign, q1, m, q2) standing for sign * c[q1][m] * c[q2], a vector over
-    the basis.
+    Each basis bracket is a signed pair index, so a check is a list of at
+    most 2(dim - 1) terms (sign, q1, m, q2) standing for
+    sign * c[q1][m] * c[q2], a vector over the basis.
     """
     pair_index = {pr: q for q, pr in enumerate(pairs)}
 
@@ -174,36 +185,6 @@ def _acaa_checks(dim, pairs):
                             terms.append((s1 * s2, q1, m, q2))
                 checks.append(terms)
     return sorted(checks, key=len)
-
-
-def _acaa_mask(C, dim, p, pairs):
-    """Mask over C of the tensors satisfying every check of ``_acaa_checks``.
-
-    The filter is staged and compacting: each check runs only on the
-    tensors that passed the checks before it, so after the first few
-    checks little is left to test.  It runs digit-major, on the (pair,
-    coordinate, tensor) transpose of C, which for C from ``_decode`` is a
-    view with one contiguous row per digit.  The arithmetic is in int8:
-    entries lie in [0, p) with p <= 5, so a product is at most 16 and a
-    check of at most 2(dim - 1) = 4 terms stays within |64|.
-    """
-    import numpy as np
-
-    alive = np.arange(len(C), dtype=np.int32)
-    D = np.asarray(C, dtype=np.int8).transpose(1, 2, 0)
-    for terms in _acaa_checks(dim, pairs):
-        acc = np.zeros((dim, len(alive)), dtype=np.int8)
-        for sign, q1, m, q2 in terms:
-            term = D[q1, m] * D[q2]
-            if sign > 0:
-                acc += term
-            else:
-                acc -= term
-        keep = np.flatnonzero(~(acc % p).any(axis=0))
-        alive, D = alive[keep], D[:, :, keep]
-    mask = np.zeros(len(C), dtype=bool)
-    mask[alive] = True
-    return mask
 
 
 def _gl_order(dim, p):
@@ -273,7 +254,9 @@ def _orbit_sizes(survivors, dim, p):
 
     pairs = list(combinations(range(dim), 2))
     n = len(survivors)
-    C = _decode(survivors, len(pairs) * dim, p).reshape(n, len(pairs), dim)
+    # digit-major, as einsum in _act runs fastest on this layout
+    digits = survivors // p ** np.arange(len(pairs) * dim)[:, None] % p
+    C = digits.astype(np.int8).T.reshape(n, len(pairs), dim)
     parent = list(range(n))
 
     def find(x):
@@ -297,50 +280,30 @@ def _orbit_sizes(survivors, dim, p):
     return sizes
 
 
-def _chunked(total, keep, jobs):
-    """Concatenation of keep(codes) over range(total) in chunks of _CHUNK
-    int32 codes (total is at most _SIZE_GUARD < 2^31), in order; jobs > 1
-    spreads the chunks over that many threads."""
-    import numpy as np
-
-    bounds = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
-
-    def run(bound):
-        return keep(np.arange(*bound, dtype=np.int32))
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return np.concatenate(list(pool.map(run, bounds)))
-    return np.concatenate([run(b) for b in bounds])
-
-
-def _scan(dim, p, jobs):
-    """Sorted codes of the skew tensors over F_p that pass ``_acaa_mask``."""
+def _scan(dim, p):
+    """Sorted codes of the skew tensors over F_p that pass every check of
+    ``_acaa_checks``: one equation per check and basis coordinate, over the
+    digits of the tensor in pair-major order (digit q dim + r is
+    coordinate r of the bracket of pair q)."""
     pairs = list(combinations(range(dim), 2))
-    ncoef = len(pairs) * dim
-    total = p ** ncoef
-    if total > _SIZE_GUARD:
-        raise ValueError(f"{total} candidates exceed the size guard")
-
-    def keep(codes):
-        C = _decode(codes, ncoef, p).reshape(len(codes), len(pairs), dim)
-        return codes[_acaa_mask(C, dim, p, pairs)]
-
-    return _chunked(total, keep, jobs)
+    equations = [[(sign, q1 * dim + m, q2 * dim + r) for sign, q1, m, q2 in terms]
+                 for terms in _acaa_checks(dim, pairs) for r in range(dim)]
+    return _encode(_staged_filter(equations, len(pairs) * dim, p), p)
 
 
 def enumerate_finite(dim: int, p: int, jobs: int = 1):
     """Count anticommutative tensors over F_p satisfying the linearized
     triple-bracket law, and their isomorphism classes under GL(dim, p).
 
-    Returns (acaa_count, iso_class_count).
+    Returns (acaa_count, iso_class_count).  ``jobs`` has no effect: the
+    staged filter holds at most 1,125 partial tensors, so there is nothing
+    to split.  It is accepted for the interface shared with
+    ``reps.h3_faithfulness_search``.
     """
     if dim not in (2, 3):
         raise ValueError("enumeration supports dimensions 2 and 3 only")
-    # p <= 5 keeps the int8 arithmetic of _acaa_mask within |64|
+    # p <= 5 keeps the int8 arithmetic of _staged_filter within |64|
     if not is_prime(p) or p == 2 or p > 5:
         raise ValueError("p must be an odd prime at most 5")
-    survivors = _scan(dim, p, jobs)
+    survivors = _scan(dim, p)
     return len(survivors), len(_orbit_sizes(survivors, dim, p))

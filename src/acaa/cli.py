@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exhaustive mod-p classification oracle")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("ad", parents=[common], help="adjoint matrix of an element")
@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exhaust nilpotent anticommuting 3x3 pairs over F_p")
     p.add_argument("--p", type=int, default=3)
     p.add_argument("--d", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
     p.set_defaults(func=cmd_rep_check)
 
     p = sub.add_parser("cohomology", parents=[common],

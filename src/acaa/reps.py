@@ -18,7 +18,7 @@ every algebra satisfying the law is also a Lie algebra.
 """
 
 from .algebra import Algebra, Element, _mul_into, _nonzero, check_acaa
-from .catalog import _decode
+from .catalog import _staged_filter
 from .linalg import Matrix, _int_rows
 
 
@@ -186,9 +186,9 @@ def h3_faithfulness_search(p: int, d: int = 3, jobs: int = 1):
 
     Returns None when the search is exhausted without a counterexample,
     otherwise the offending pair as integer matrices.  Only d = 3 and
-    p in {3, 5} are supported.  The square-zero filter runs as one
-    broadcast grid over all p^(d d) matrices, so ``jobs`` does not split
-    the search; it is accepted for the interface shared with
+    p in {3, 5} are supported.  The square-zero matrices come from
+    ``catalog._staged_filter`` (745 of them at p = 5), so ``jobs`` has
+    no effect; it is accepted for the interface shared with
     ``enumerate_finite``.
     """
     if d != 3:
@@ -204,40 +204,33 @@ def h3_faithfulness_search(p: int, d: int = 3, jobs: int = 1):
 
 
 def _square_zero(p, d):
-    """Every d x d matrix X over F_p with X^2 = 0, in code order, as int8.
+    """Every d x d matrix X over F_p with X^2 = 0, in code order (entry
+    (i, k) is digit i d + k, of weight p^(i d + k)), as int8.
 
-    The candidates are the cells of the grid F_p^(d d), with digit q of the
-    code (entry (q // d, q % d)) on axis d d - 1 - q, so that the C-order
-    flat index of a cell is its code.  Entry (i, k) of X^2 reads only row i
-    and column k, so its test is a broadcast over at most 2d - 1 axes; the
-    d^2 tests are and-ed into one boolean grid, and only the cells left are
-    decoded.
+    The d^2 equations are the entries of X^2, each a sum of d products
+    X[i, m] X[m, k], solved by ``catalog._staged_filter``; with d = 3 and
+    p <= 5 every sum lies in [0, 48].
     """
-    import numpy as np
-
-    n = d * d
-
-    def entry(i, k):
-        shape = [1] * n
-        shape[n - 1 - (i * d + k)] = p
-        return np.arange(p).reshape(shape)
-
-    grid = np.ones((p,) * n, dtype=bool)
-    for i in range(d):
-        for k in range(d):
-            grid &= sum(entry(i, m) * entry(m, k) for m in range(d)) % p == 0
-    codes = np.flatnonzero(grid)
-    return _decode(codes, n, p).reshape(len(codes), d, d)
+    equations = [[(1, i * d + m, m * d + k) for m in range(d)]
+                 for i in range(d) for k in range(d)]
+    rows = _staged_filter(equations, d * d, p)
+    return rows.reshape(len(rows), d, d)
 
 
 def _first_anticommuting_pair(mats, p):
     """The first (a, b) in lexicographic order with mats[a] mats[b] != 0 and
-    mats[a] mats[b] = -mats[b] mats[a] mod p, or None.
+    mats[a] mats[b] = -mats[b] mats[a] mod p, for odd p, or None.
 
-    The pairs are scanned in row blocks over a, in order of a.  In a block,
-    entry (0, 0) of XY + YX is formed for every pair at once, as a sum of
-    outer products of matrix entries; the index pairs where it vanishes are
-    kept in row-major order and compacted, entry by entry, over the other
+    Only pairs with a < b are scanned, and the first witness is unchanged.
+    The witnesses are symmetric: XY = -YX != 0 gives YX = -XY != 0, so if
+    (b, a) with a < b is one, so is (a, b), which comes first.  And a = b
+    is never one: X X = -X X gives 2 X^2 = 0, so X^2 = 0 for odd p.
+
+    The pairs are scanned in row blocks over a, in order of a, each against
+    the columns b from the block's start on.  In a block, entry (0, 0) of
+    XY + YX is formed for every pair at once, as a sum of outer products of
+    matrix entries; the index pairs with b > a where it vanishes are kept
+    in row-major order and compacted, entry by entry, over the other
     entries of XY + YX, and XY != 0 is tested last.  Compaction keeps the
     order, so the first pair left is the block's first witness.  Sums are
     in int32, which holds 2d (p - 1)^2.
@@ -251,20 +244,20 @@ def _first_anticommuting_pair(mats, p):
         return sum(X[i * d + m][a] * Y[m * d + k][b] for m in range(d))
 
     for lo in range(0, n, _PAIR_BLOCK):
-        X = cols[:, lo:lo + _PAIR_BLOCK]
-        s00 = sum(np.multiply.outer(X[m], cols[m * d]) + np.multiply.outer(X[m * d], cols[m])
+        X, Y = cols[:, lo:lo + _PAIR_BLOCK], cols[:, lo:]
+        s00 = sum(np.multiply.outer(X[m], Y[m * d]) + np.multiply.outer(X[m * d], Y[m])
                   for m in range(d))
-        a, b = np.nonzero(s00 % p == 0)
+        a, b = np.nonzero(np.triu(s00 % p == 0, 1))
         for i in range(d):
             for k in range(d):
                 if i or k:
-                    keep = (entry(X, a, cols, b, i, k) + entry(cols, b, X, a, i, k)) % p == 0
+                    keep = (entry(X, a, Y, b, i, k) + entry(Y, b, X, a, i, k)) % p == 0
                     a, b = a[keep], b[keep]
         xy = np.zeros(len(a), dtype=bool)
         for i in range(d):
             for k in range(d):
-                xy |= entry(X, a, cols, b, i, k) % p != 0
+                xy |= entry(X, a, Y, b, i, k) % p != 0
         if xy.any():
             first = int(np.argmax(xy))
-            return lo + int(a[first]), int(b[first])
+            return lo + int(a[first]), lo + int(b[first])
     return None

@@ -7,8 +7,8 @@ import pytest
 
 from acaa.algebra import (change_basis, check_acaa, check_quadratic_identity,
                           fingerprint, jacobi_coeffs)
-from acaa.catalog import (_acaa_mask, _decode, _encode, _gl_generators, _gl_order,
-                          _orbit_sizes, _scan, all_entries, catalog, entry,
+from acaa.catalog import (_encode, _gl_generators, _gl_order, _orbit_sizes, _scan,
+                          _staged_filter, all_entries, catalog, entry,
                           enumerate_finite, recognize)
 from acaa.fields import PrimeField, Q
 from acaa.linalg import random_invertible
@@ -126,32 +126,35 @@ def reference_decode(codes, count, p):
     return out.T
 
 
-def assert_decode_matches_divmod(codes, count, p):
-    got = _decode(codes, count, p)
-    assert got.dtype == np.int8 and got.shape == (len(codes), count)
-    assert np.array_equal(got, reference_decode(codes, count, p))
+def assert_decode_matches_divmod(rows, codes, count, p):
+    assert rows.dtype == np.int8 and rows.shape == (len(codes), count)
+    assert np.array_equal(rows, reference_decode(codes, count, p))
     # _encode inverts it, read as (pair, coordinate) digits of a dim-3 tensor
-    assert np.array_equal(_encode(got.reshape(len(codes), count // 3, 3), p), codes)
+    assert np.array_equal(_encode(rows.reshape(len(codes), count // 3, 3), p), codes)
 
 
 def test_decode_is_int8_and_matches_divmod_on_all_of_f3_9():
-    assert_decode_matches_divmod(np.arange(3 ** 9, dtype=np.int64), 9, 3)
+    # with no equations the filter keeps every point, in code order
+    rows = _staged_filter([], 9, 3)
+    assert_decode_matches_divmod(rows, np.arange(3 ** 9, dtype=np.int64), 9, 3)
 
 
 def test_decode_matches_divmod_on_random_codes_mod5():
     rng = np.random.default_rng(7)
     codes = np.concatenate([rng.integers(0, 5 ** 9, 50000), [0, 5 ** 9 - 1]])
-    assert_decode_matches_divmod(codes, 9, 5)
+    assert_decode_matches_divmod(_staged_filter([], 9, 5)[codes], codes, 9, 5)
 
 
 def test_decode_matches_divmod_on_non_contiguous_survivor_codes():
-    survivors = _scan(3, 5, 1)
+    survivors = _scan(3, 5)
     assert len(survivors) == 125 and (np.diff(survivors) > 1).any()
-    assert_decode_matches_divmod(survivors, 9, 5)
-    # a strided view of the codes, not a contiguous array
+    # _encode inverts the divmod digits in a digit-major (transposed) int8
+    # view, the layout _orbit_sizes builds from the survivors
+    rows = reference_decode(survivors, 9, 5).astype(np.int8)
+    assert not rows.flags["C_CONTIGUOUS"]
+    assert np.array_equal(_encode(rows.reshape(125, 3, 3), 5), survivors)
     codes = np.arange(5 ** 9, dtype=np.int64)[::997]
-    assert not codes.flags["C_CONTIGUOUS"]
-    assert_decode_matches_divmod(codes, 9, 5)
+    assert np.array_equal(_encode(reference_decode(codes, 9, 5), 5), codes)
 
 
 def reference_acaa_mask(C, dim, p, pairs):
@@ -191,36 +194,80 @@ def reference_acaa_mask(C, dim, p, pairs):
     return ok
 
 
-def assert_mask_matches_reference(codes, dim, p):
+def assert_scan_matches_reference(codes, survivors, dim, p):
+    """The codes among ``codes`` that the reference keeps are exactly those
+    in ``survivors``; returns how many there are."""
     pairs = list(combinations(range(dim), 2))
-    C = _decode(codes, len(pairs) * dim, p).reshape(len(codes), len(pairs), dim)
+    C = reference_decode(codes, len(pairs) * dim, p).reshape(len(codes), len(pairs), dim)
     want = reference_acaa_mask(C, dim, p, pairs)
-    got = _acaa_mask(C, dim, p, pairs)
-    assert got.dtype == bool and got.shape == (len(codes),)
-    assert np.array_equal(got, want)
+    assert np.array_equal(np.isin(codes, survivors), want)
     return int(want.sum())
 
 
 @pytest.mark.parametrize("dim,p", [(2, 3), (2, 5), (3, 3)])
 def test_staged_mask_matches_reference_on_whole_space(dim, p):
     total = p ** (dim * (dim * (dim - 1) // 2))
-    survivors = assert_mask_matches_reference(np.arange(total, dtype=np.int64), dim, p)
-    assert survivors == (1 if dim == 2 else p ** 3)
+    survivors = _scan(dim, p)
+    assert survivors.dtype == np.int64 and (np.diff(survivors) > 0).all()
+    kept = assert_scan_matches_reference(np.arange(total, dtype=np.int64), survivors, dim, p)
+    assert kept == len(survivors) == (1 if dim == 2 else p ** 3)
+
+
+def omega_z_codes(p):
+    """Codes of the tensors omega (x) z over F_p^3: omega a skew form, read
+    as its values on the pairs (0,1), (0,2), (1,2), and z in its radical,
+    found by trying every vector."""
+    codes = set()
+    for w in np.ndindex(p, p, p):
+        form = np.zeros((3, 3), dtype=np.int64)
+        for (i, j), v in zip(combinations(range(3), 2), w):
+            form[i, j], form[j, i] = v, -v
+        for z in np.ndindex(p, p, p):
+            if (form @ np.array(z) % p == 0).all():
+                digits = [w[q] * z[r] % p for q in range(3) for r in range(3)]
+                codes.add(sum(x * p ** e for e, x in enumerate(digits)))
+    return sorted(codes)
 
 
 def test_staged_mask_matches_reference_on_random_mod5_chunks():
     rng = np.random.default_rng(11)
     total = 5 ** 9
-    survivors = _scan(3, 5, 1)
+    survivors = _scan(3, 5)
     for _ in range(3):
         lo = int(rng.integers(0, total - 4096))
-        codes = np.arange(lo, lo + 4096, dtype=np.int64)
-        assert_mask_matches_reference(codes, 3, 5)
-    # a shuffled sample with every survivor and the all-(p - 1) tensor,
-    # which has the largest products
-    codes = np.concatenate([rng.integers(0, total, 20000), survivors, [0, total - 1]])
-    rng.shuffle(codes)
-    assert assert_mask_matches_reference(codes, 3, 5) >= len(survivors)
+        assert_scan_matches_reference(np.arange(lo, lo + 4096, dtype=np.int64),
+                                      survivors, 3, 5)
+    # every survivor, and the all-(p - 1) tensor, which has the largest
+    # products
+    assert assert_scan_matches_reference(survivors, survivors, 3, 5) == len(survivors)
+    assert assert_scan_matches_reference(np.array([total - 1]), survivors, 3, 5) == 0
+    # the survivors are the p^3 tensors omega (x) z
+    assert survivors.tolist() == omega_z_codes(5)
+    assert len(survivors) == 5 ** 3
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_scan_equations_keep_int8_sums_in_bounds(monkeypatch, dim):
+    # |sum| <= (terms) (p - 1)^2 <= 4 * 16 = 64 for p <= 5
+    import acaa.catalog as m
+
+    seen = []
+
+    def recording(equations, n, p):
+        seen.append((list(equations), p))
+        return filter_(equations, n, p)
+
+    filter_ = m._staged_filter
+    monkeypatch.setattr(m, "_staged_filter", recording)
+    for p in (3, 5):
+        assert enumerate_finite(dim, p) == ((1, 1) if dim == 2 else (p ** 3, 2))
+    assert [p for _, p in seen] == [3, 5]
+    for equations, p in seen:
+        assert len(equations) == dim * len(list(combinations(range(dim), 2))) * dim
+        for eq in equations:
+            assert 0 < len(eq) <= 2 * (dim - 1)
+            assert all(sign in (1, -1) for sign, _, _ in eq)
+            assert len(eq) * (p - 1) ** 2 <= 64
 
 
 def test_enumerate_parameter_validation():
@@ -260,12 +307,12 @@ def test_generators_close_to_all_of_gl(dim, p, order):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_enumerate_dim3_orbit_sizes(p):
-    survivors = _scan(3, p, 1)
+    survivors = _scan(3, p)
     assert _orbit_sizes(survivors, 3, p) == [1, p ** 3 - 1]
 
 
 def test_orbit_closure_rejects_a_set_that_is_not_gl_invariant():
-    survivors = _scan(3, 3, 1)
+    survivors = _scan(3, 3)
     with pytest.raises(RuntimeError, match="orbit left the filtered set"):
         _orbit_sizes(survivors[:-1], 3, 3)
 

@@ -219,6 +219,36 @@ def test_blocked_pair_scan_matches_full_product_array(monkeypatch):
         assert reps._first_anticommuting_pair(mats, p) == (70, 130)
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_pair_scan_finds_a_witness_planted_larger_index_first(monkeypatch, p):
+    # X at index 130 and Y at 70, with XY = -YX != 0, among random matrices
+    # with X^2 != 0, for which (a, a) would have XX != 0: the scan covers
+    # a < b only and must report (70, 130)
+    import numpy as np
+
+    rng = np.random.default_rng(17 + p)
+
+    def redraw(idx):
+        for i in idx:
+            while not (mats[i] @ mats[i] % p).any():
+                mats[i] = rng.integers(0, p, size=(3, 3))
+
+    mats = np.zeros((200, 3, 3), dtype=np.int64)
+    mats[130, 0, 1] = mats[130, 1, 0] = 1
+    mats[70, 0, 0], mats[70, 1, 1] = 1, p - 1
+    redraw([i for i in range(200) if i not in (70, 130)])
+    # random witnesses among the others are drawn again
+    while (found := reference_pair(mats, p)) != (70, 130):
+        i = next(i for i in found if i not in (70, 130))
+        mats[i] = 0
+        redraw([i])
+    assert (np.einsum("nij,njk->nik", mats, mats) % p).any(axis=(1, 2)).all()
+    mats = mats.astype(np.int8)
+    for block in (3, reps._PAIR_BLOCK):
+        monkeypatch.setattr(reps, "_PAIR_BLOCK", block)
+        assert reps._first_anticommuting_pair(mats, p) == (70, 130)
+
+
 def test_staged_pair_scan_sums_leave_int8():
     # a dense anticommuting pair mod 11, the planted pair conjugated by a
     # matrix P: the integer sums of XY + YX leave int8
@@ -275,22 +305,18 @@ def test_staged_pair_scan_finds_a_pair_planted_after_the_first_row_block(d, p):
 
 
 def reference_square_zero(p, d):
-    """The former chunked, staged square-zero filter, on int64 digits."""
+    """Every d x d matrix with X^2 = 0, in code order: int64 divmod digits
+    of all p^(d d) codes, a block at a time, tested entry by entry."""
     import numpy as np
 
-    from acaa.catalog import _CHUNK
-
-    total, kept = p ** (d * d), []
-    for lo in range(0, total, _CHUNK):
-        c = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
+    total, block, kept = p ** (d * d), 1 << 17, []
+    for lo in range(0, total, block):
+        c = np.arange(lo, min(lo + block, total), dtype=np.int64)
         digits = np.empty((d * d, len(c)), dtype=np.int64)
         for q in range(d * d):
             c, digits[q] = np.divmod(c, p)
         M = digits.T.reshape(-1, d, d)
-        for i in range(d):
-            for k in range(d):
-                M = M[(M[:, i, :] * M[:, :, k]).sum(axis=1) % p == 0]
-        kept.append(M)
+        kept.append(M[(np.einsum("nij,njk->nik", M, M) % p == 0).all(axis=(1, 2))])
     return np.concatenate(kept)
 
 
@@ -307,20 +333,33 @@ def test_grid_square_zero_equals_the_chunked_filter(p):
 def test_square_zero_count_matches_closed_form(p):
     import numpy as np
 
-    from acaa.catalog import _CHUNK, _decode
-
     # X^2 = 0 on F_p^3 forces rank X <= 1, so X = 0 or X = u v^T with
     # v.u = 0: p^3 - 1 choices of u, p^2 - 1 of v, and p - 1 pairs (u, v)
     # give the same matrix
     nilpotents = reps._square_zero(p, 3)
     assert len(nilpotents) == 1 + (p ** 3 - 1) * (p + 1) == {3: 105, 5: 745}[p]
-
     codes = nilpotents.reshape(len(nilpotents), 9).astype(np.int64) @ (p ** np.arange(9))
     assert (np.diff(codes) > 0).all()
-    n = min(_CHUNK, p ** 9)
-    chunk = _decode(np.arange(n, dtype=np.int64), 9, p).reshape(n, 3, 3).astype(np.int64)
-    want = chunk[(np.einsum("nij,njk->nik", chunk, chunk) % p == 0).all(axis=(1, 2))]
-    assert np.array_equal(nilpotents[codes < n], want)
+
+
+def test_square_zero_equations_keep_int8_sums_in_bounds(monkeypatch):
+    # d terms of (p - 1)^2 each: at most 3 * 16 = 48 for d = 3, p <= 5
+    seen = []
+
+    def recording(equations, n, p):
+        seen.append((list(equations), n, p))
+        return filter_(equations, n, p)
+
+    filter_ = reps._staged_filter
+    monkeypatch.setattr(reps, "_staged_filter", recording)
+    for p in (3, 5):
+        assert h3_faithfulness_search(p) is None
+    assert [(n, p) for _, n, p in seen] == [(9, 3), (9, 5)]
+    for equations, _, p in seen:
+        assert len(equations) == 9
+        for eq in equations:
+            assert len(eq) == 3 and all(sign == 1 for sign, _, _ in eq)
+            assert len(eq) * (p - 1) ** 2 <= 48
 
 
 def test_h3_search_jobs_deterministic():
