@@ -6,14 +6,16 @@ to isomorphism.  ``enumerate_finite`` re-derives the dimension-2 and -3
 statements over F_3 and F_5 exhaustively: it finds every anticommutative
 tensor that satisfies the linearized law, and counts GL(n, p)-orbits on
 the survivors by closing them under a generating set of n(n-1) + 1
-matrices (``_gl_generators``); no group table is built.  The law is a
-list of quadratic equations in the tensor's base-p digits, and
-``_staged_filter`` solves them digit by digit: each partial tensor is
-dropped as soon as an equation whose digits are all set fails, in int8
-arithmetic, which holds every sum for p <= 5 (|sum| <= 64); at dimension
-3 and p = 5 at most 1,125 partial tensors are alive, not 5^9 codes.
+matrices (``_gl_generators``, by union-find in ``_orbits``); no group
+table is built.  The law is a list of quadratic equations in the
+tensor's base-p digits, and ``_staged_filter`` solves them digit by
+digit: each partial tensor is dropped as soon as an equation whose
+digits are all set fails, in int8 arithmetic, which holds every sum for
+p <= 5 (|sum| <= 64); at dimension 3 and p = 5 at most 1,125 partial
+tensors are alive, not 5^9 codes.
 ``reps.h3_faithfulness_search`` shares the filter for its square-zero
-matrices, and its pair scan is staged over the entries of XY + YX.
+matrices, and ``_orbits`` with the generators acting by conjugation, so
+that its pair scan starts from one matrix per orbit.
 
 In characteristic 3 the law implies the Jacobi identity: with
 [x,[y,z]] = [z,[x,y]], the Jacobi sum is 3 [x,[y,z]] = 0.  So every
@@ -240,23 +242,22 @@ def _act(C, g, ginv, pairs, p):
     return np.einsum("st,nsm,km->ntk", minors, C, ginv) % p
 
 
-def _orbit_sizes(survivors, dim, p):
-    """Sorted sizes of the GL(dim, p)-orbits on the sorted survivor codes.
+def _orbits(codes, images, order):
+    """The least index of each point's orbit, for the sorted codes of a
+    finite set and a group of the given order acting on it.
 
-    Each generator of ``_gl_generators`` acts once on the whole survivor
-    array; every image is mapped back to a survivor index, and the orbits
-    are the connected components of those edges (union-find).  The sizes
-    must sum to the survivor count and each must divide |GL(dim, p)|
-    (orbit-stabilizer); an image outside the survivors means the filter is
-    not GL-invariant.  Any of these raises RuntimeError.
+    ``images`` holds, for each generator of the group, the codes of the
+    images of the points in order.  Every image is mapped back to an index,
+    and the orbits are the connected components of those edges (union-find,
+    each union keeping the lesser root, so a root is the least index of its
+    component).  In a finite group every inverse is a positive power, so
+    the components are the orbits.  An image outside the codes means the
+    set is not closed under the action, and each orbit size must divide the
+    group order (orbit-stabilizer); either failure raises RuntimeError.
     """
     import numpy as np
 
-    pairs = list(combinations(range(dim), 2))
-    n = len(survivors)
-    # digit-major, as einsum in _act runs fastest on this layout
-    digits = survivors // p ** np.arange(len(pairs) * dim)[:, None] % p
-    C = digits.astype(np.int8).T.reshape(n, len(pairs), dim)
+    n = len(codes)
     parent = list(range(n))
 
     def find(x):
@@ -265,19 +266,32 @@ def _orbit_sizes(survivors, dim, p):
             x = parent[x]
         return x
 
-    for g, ginv in _gl_generators(dim, p):
-        images = _encode(_act(C, g, ginv, pairs, p), p)
-        idx = np.minimum(np.searchsorted(survivors, images), n - 1)
-        if not (survivors[idx] == images).all():
-            raise RuntimeError("orbit left the filtered set; enumeration inconsistent")
+    for image in images:
+        idx = np.minimum(np.searchsorted(codes, image), n - 1)
+        if not (codes[idx] == image).all():
+            raise RuntimeError("orbit left the filtered set; the set is not closed"
+                               " under the group")
         for a, b in enumerate(idx.tolist()):
-            parent[find(a)] = find(b)
-    sizes = sorted(Counter(find(x) for x in range(n)).values())
-    order = _gl_order(dim, p)
-    if sum(sizes) != n or any(order % s for s in sizes):
+            ra, rb = find(a), find(b)
+            parent[max(ra, rb)] = min(ra, rb)
+    roots = [find(x) for x in range(n)]
+    sizes = sorted(Counter(roots).values())
+    if any(order % s for s in sizes):
         raise RuntimeError(f"orbit sizes {sizes} fail orbit-stabilizer for"
-                           f" {n} survivors and |GL| = {order}")
-    return sizes
+                           f" {n} points and a group of order {order}")
+    return roots
+
+
+def _tensor_images(survivors, dim, p):
+    """The codes of the images of the sorted survivor codes under each
+    generator of ``_gl_generators``, by ``_act``."""
+    import numpy as np
+
+    pairs = list(combinations(range(dim), 2))
+    # digit-major, as einsum in _act runs fastest on this layout
+    digits = survivors // p ** np.arange(len(pairs) * dim)[:, None] % p
+    C = digits.astype(np.int8).T.reshape(len(survivors), len(pairs), dim)
+    return [_encode(_act(C, g, ginv, pairs, p), p) for g, ginv in _gl_generators(dim, p)]
 
 
 def _scan(dim, p):
@@ -306,4 +320,5 @@ def enumerate_finite(dim: int, p: int, jobs: int = 1):
     if not is_prime(p) or p == 2 or p > 5:
         raise ValueError("p must be an odd prime at most 5")
     survivors = _scan(dim, p)
-    return len(survivors), len(_orbit_sizes(survivors, dim, p))
+    roots = _orbits(survivors, _tensor_images(survivors, dim, p), _gl_order(dim, p))
+    return len(survivors), len(set(roots))

@@ -12,13 +12,16 @@ rho([x, y]) = -rho(x) rho(y) = rho(y) rho(x).
 ``h3_faithfulness_search`` exhausts all pairs of 3x3 matrices over F_p
 with X^2 = Y^2 = 0 and XY = -YX and confirms that XY = 0 for every such
 pair, so no faithful triple of images exists for the 3-dimensional
-Heisenberg algebra at that matrix size.  In characteristic 3 the law
-implies the Jacobi identity (the Jacobi sum is 3 [x,[y,z]]), so at p = 3
-every algebra satisfying the law is also a Lie algebra.
+Heisenberg algebra at that matrix size.  Conjugation maps such pairs to
+such pairs, so the scan starts only from one matrix per GL(3, p)-orbit
+(``_first_witness`` proves that the first witness is unchanged).  In
+characteristic 3 the law implies the Jacobi identity (the Jacobi sum is
+3 [x,[y,z]]), so at p = 3 every algebra satisfying the law is also a Lie
+algebra.
 """
 
-from .algebra import Algebra, Element, _mul_into, _nonzero, check_acaa
-from .catalog import _staged_filter
+from .algebra import _SIZE_GUARD, Algebra, Element, _mul_into, _nonzero, check_acaa
+from .catalog import _encode, _gl_generators, _gl_order, _orbits, _staged_filter
 from .linalg import Matrix, _int_rows
 
 
@@ -177,9 +180,6 @@ def is_faithful(rep: Representation) -> bool:
     return _independent(rep)
 
 
-_PAIR_BLOCK = 256
-
-
 def h3_faithfulness_search(p: int, d: int = 3, jobs: int = 1):
     """Exhaust pairs (X, Y) of d x d matrices over F_p with X^2 = Y^2 = 0
     and XY = -YX, verifying XY = 0 for each.
@@ -187,8 +187,10 @@ def h3_faithfulness_search(p: int, d: int = 3, jobs: int = 1):
     Returns None when the search is exhausted without a counterexample,
     otherwise the offending pair as integer matrices.  Only d = 3 and
     p in {3, 5} are supported.  The square-zero matrices come from
-    ``catalog._staged_filter`` (745 of them at p = 5), so ``jobs`` has
-    no effect; it is accepted for the interface shared with
+    ``catalog._staged_filter`` (745 of them at p = 5), and the pairs are
+    scanned from one matrix per GL(d, p)-conjugation orbit only
+    (``_first_witness``): there are 2 orbits, so 2 x 745 pairs at p = 5.
+    ``jobs`` has no effect; it is accepted for the interface shared with
     ``enumerate_finite``.
     """
     if d != 3:
@@ -197,7 +199,7 @@ def h3_faithfulness_search(p: int, d: int = 3, jobs: int = 1):
         raise ValueError("p must be 3 or 5")
 
     nilpotents = _square_zero(p, d)
-    found = _first_anticommuting_pair(nilpotents, p)
+    found = _first_witness(nilpotents, p)
     if found is None:
         return None
     return tuple(tuple(tuple(int(v) for v in row) for row in nilpotents[i]) for i in found)
@@ -217,47 +219,55 @@ def _square_zero(p, d):
     return rows.reshape(len(rows), d, d)
 
 
-def _first_anticommuting_pair(mats, p):
+def _first_witness(mats, p):
     """The first (a, b) in lexicographic order with mats[a] mats[b] != 0 and
-    mats[a] mats[b] = -mats[b] mats[a] mod p, for odd p, or None.
+    mats[a] mats[b] = -mats[b] mats[a] mod p, for odd p, or None; mats is
+    a set of d x d matrices in code order, closed under conjugation by
+    GL(d, p).
 
-    Only pairs with a < b are scanned, and the first witness is unchanged.
-    The witnesses are symmetric: XY = -YX != 0 gives YX = -XY != 0, so if
-    (b, a) with a < b is one, so is (a, b), which comes first.  And a = b
-    is never one: X X = -X X gives 2 X^2 = 0, so X^2 = 0 for odd p.
+    Only the least member of each conjugation orbit is scanned as a, against
+    every b.  Proof.  (g X g^-1)(g Y g^-1) = g XY g^-1, so conjugation by g
+    maps witnesses to witnesses, and g^-1 maps them back: X has a witness
+    exactly when g X g^-1 does, so having one is constant on an orbit, and
+    the least a with a witness is the least member of its orbit.  Its first
+    b comes from the scan over all of mats, and b > a: the witnesses are
+    symmetric, as XY = -YX != 0 gives YX = -XY != 0, so a witness (a, b)
+    with b < a would make b a lesser index with a witness; and a = b is
+    never one, as X X = -X X gives 2 X^2 = 0, so X^2 = 0 for odd p.
 
-    The pairs are scanned in row blocks over a, in order of a, each against
-    the columns b from the block's start on.  In a block, entry (0, 0) of
-    XY + YX is formed for every pair at once, as a sum of outer products of
-    matrix entries; the index pairs with b > a where it vanishes are kept
-    in row-major order and compacted, entry by entry, over the other
-    entries of XY + YX, and XY != 0 is tested last.  Compaction keeps the
-    order, so the first pair left is the block's first witness.  Sums are
-    in int32, which holds 2d (p - 1)^2.
+    The orbits come from ``catalog._orbits`` on the codes of mats and their
+    conjugates by ``catalog._gl_generators``; a conjugate outside mats
+    raises RuntimeError.
     """
     import numpy as np
 
-    n, d = len(mats), mats.shape[-1]
-    cols = np.ascontiguousarray(np.asarray(mats, dtype=np.int32).reshape(n, d * d).T)
+    d = mats.shape[-1]
+    M = np.asarray(mats, dtype=np.int64)
+    codes = _encode(M, p)
+    images = [_encode(g @ M @ ginv % p, p) for g, ginv in _gl_generators(d, p)]
+    roots = _orbits(codes, images, _gl_order(d, p))
+    least = [a for a, root in enumerate(roots) if a == root]
+    found = _first_anticommuting_pair(M[least], M, p)
+    return None if found is None else (least[found[0]], found[1])
 
-    def entry(X, a, Y, b, i, k):
-        return sum(X[i * d + m][a] * Y[m * d + k][b] for m in range(d))
 
-    for lo in range(0, n, _PAIR_BLOCK):
-        X, Y = cols[:, lo:lo + _PAIR_BLOCK], cols[:, lo:]
-        s00 = sum(np.multiply.outer(X[m], Y[m * d]) + np.multiply.outer(X[m * d], Y[m])
-                  for m in range(d))
-        a, b = np.nonzero(np.triu(s00 % p == 0, 1))
-        for i in range(d):
-            for k in range(d):
-                if i or k:
-                    keep = (entry(X, a, Y, b, i, k) + entry(Y, b, X, a, i, k)) % p == 0
-                    a, b = a[keep], b[keep]
-        xy = np.zeros(len(a), dtype=bool)
-        for i in range(d):
-            for k in range(d):
-                xy |= entry(X, a, Y, b, i, k) % p != 0
-        if xy.any():
-            first = int(np.argmax(xy))
-            return lo + int(a[first]), lo + int(b[first])
-    return None
+def _first_anticommuting_pair(rows, cols, p):
+    """The first (a, b) in lexicographic order with rows[a] cols[b] != 0 and
+    rows[a] cols[b] = -cols[b] rows[a] mod p, or None.
+
+    XY and YX are formed for every pair at once, in int64.  A scan of more
+    than ``algebra._SIZE_GUARD`` cells (len(rows) len(cols) d^2) is refused
+    with ValueError before anything is allocated.
+    """
+    import numpy as np
+
+    d = rows.shape[-1]
+    cells = len(rows) * len(cols) * d * d
+    if cells > _SIZE_GUARD:
+        raise ValueError(f"pair scan too large ({cells} > {_SIZE_GUARD} cells)")
+    X = np.asarray(rows, dtype=np.int64)[:, None]
+    Y = np.asarray(cols, dtype=np.int64)[None]
+    xy = X @ Y % p
+    bad = ((xy + Y @ X) % p == 0).all(axis=(2, 3)) & xy.any(axis=(2, 3))
+    first = np.argwhere(bad)
+    return tuple(int(v) for v in first[0]) if len(first) else None

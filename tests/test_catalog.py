@@ -1,5 +1,6 @@
 import random
 import types
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 
 from acaa.algebra import (change_basis, check_acaa, check_quadratic_identity,
                           fingerprint, jacobi_coeffs)
-from acaa.catalog import (_encode, _gl_generators, _gl_order, _orbit_sizes, _scan,
-                          _staged_filter, all_entries, catalog, entry,
-                          enumerate_finite, recognize)
+from acaa.catalog import (_encode, _gl_generators, _gl_order, _orbits, _scan,
+                          _staged_filter, _tensor_images, all_entries, catalog,
+                          entry, enumerate_finite, recognize)
 from acaa.fields import PrimeField, Q
 from acaa.linalg import random_invertible
 
@@ -149,7 +150,7 @@ def test_decode_matches_divmod_on_non_contiguous_survivor_codes():
     survivors = _scan(3, 5)
     assert len(survivors) == 125 and (np.diff(survivors) > 1).any()
     # _encode inverts the divmod digits in a digit-major (transposed) int8
-    # view, the layout _orbit_sizes builds from the survivors
+    # view, the layout _tensor_images builds from the survivors
     rows = reference_decode(survivors, 9, 5).astype(np.int8)
     assert not rows.flags["C_CONTIGUOUS"]
     assert np.array_equal(_encode(rows.reshape(125, 3, 3), 5), survivors)
@@ -308,13 +309,25 @@ def test_generators_close_to_all_of_gl(dim, p, order):
 @pytest.mark.parametrize("p", [3, 5])
 def test_enumerate_dim3_orbit_sizes(p):
     survivors = _scan(3, p)
-    assert _orbit_sizes(survivors, 3, p) == [1, p ** 3 - 1]
+    roots = _orbits(survivors, _tensor_images(survivors, 3, p), _gl_order(3, p))
+    assert sorted(Counter(roots).values()) == [1, p ** 3 - 1]
+    # each root is the least index of its orbit
+    assert sorted(set(roots)) == [0, 1] and all(r <= i for i, r in enumerate(roots))
 
 
 def test_orbit_closure_rejects_a_set_that_is_not_gl_invariant():
     survivors = _scan(3, 3)
     with pytest.raises(RuntimeError, match="orbit left the filtered set"):
-        _orbit_sizes(survivors[:-1], 3, 3)
+        _orbits(survivors[:-1], _tensor_images(survivors[:-1], 3, 3), _gl_order(3, 3))
+
+
+def test_orbits_reject_a_size_that_does_not_divide_the_group_order():
+    survivors = _scan(3, 3)
+    images = _tensor_images(survivors, 3, 3)
+    # orbit sizes 1 and 26; 26 divides |GL(3, 3)| = 11,232 but not 11,231
+    assert len(set(_orbits(survivors, images, 11232))) == 2
+    with pytest.raises(RuntimeError, match="fail orbit-stabilizer"):
+        _orbits(survivors, images, 11231)
 
 
 def test_package_attribute_catalog_is_the_module():

@@ -194,36 +194,34 @@ def reference_pair(mats, p):
     return tuple(int(v) for v in np.argwhere(bad)[0]) if bad.any() else None
 
 
-def test_blocked_pair_scan_matches_full_product_array(monkeypatch):
+def test_blocked_pair_scan_matches_full_product_array():
     import numpy as np
 
     # int8 input, as _square_zero gives it
     rng = np.random.default_rng(5)
     for d, p in ((2, 3), (3, 3), (3, 5)):
-        with monkeypatch.context() as m:
-            m.setattr(reps, "_PAIR_BLOCK", 3)
-            found = 0
-            for _ in range(40):
-                mats = (rng.integers(0, p, size=(10, d, d))
-                        * (rng.random((10, d, d)) < 0.3)).astype(np.int8)
-                want = reference_pair(mats, p)
-                assert reps._first_anticommuting_pair(mats, p) == want
-                found += want is not None
-            assert 0 < found < 40
+        found = 0
+        for _ in range(40):
+            mats = (rng.integers(0, p, size=(10, d, d))
+                    * (rng.random((10, d, d)) < 0.3)).astype(np.int8)
+            want = reference_pair(mats, p)
+            assert reps._first_anticommuting_pair(mats, mats, p) == want
+            found += want is not None
+        assert 0 < found < 40
 
         # a planted pair X Y = -Y X != 0 among zero matrices
         mats = np.zeros((200, d, d), dtype=np.int64)
         mats[70, 0, 1] = mats[70, 1, 0] = 1
         mats[130, 0, 0], mats[130, 1, 1] = 1, p - 1
         assert reference_pair(mats, p) == (70, 130)
-        assert reps._first_anticommuting_pair(mats, p) == (70, 130)
+        assert reps._first_anticommuting_pair(mats, mats, p) == (70, 130)
 
 
 @pytest.mark.parametrize("p", [3, 5])
-def test_pair_scan_finds_a_witness_planted_larger_index_first(monkeypatch, p):
+def test_pair_scan_finds_a_witness_planted_larger_index_first(p):
     # X at index 130 and Y at 70, with XY = -YX != 0, among random matrices
-    # with X^2 != 0, for which (a, a) would have XX != 0: the scan covers
-    # a < b only and must report (70, 130)
+    # with X^2 != 0, for which (a, a) would have XX != 0: the scan must
+    # report (70, 130), not (130, 70)
     import numpy as np
 
     rng = np.random.default_rng(17 + p)
@@ -244,9 +242,7 @@ def test_pair_scan_finds_a_witness_planted_larger_index_first(monkeypatch, p):
         redraw([i])
     assert (np.einsum("nij,njk->nik", mats, mats) % p).any(axis=(1, 2)).all()
     mats = mats.astype(np.int8)
-    for block in (3, reps._PAIR_BLOCK):
-        monkeypatch.setattr(reps, "_PAIR_BLOCK", block)
-        assert reps._first_anticommuting_pair(mats, p) == (70, 130)
+    assert reps._first_anticommuting_pair(mats, mats, p) == (70, 130)
 
 
 def test_staged_pair_scan_sums_leave_int8():
@@ -265,7 +261,7 @@ def test_staged_pair_scan_sums_leave_int8():
     X, Y = mats[3].astype(np.int64), mats[7].astype(np.int64)
     assert (X @ Y + Y @ X).max() > 127
     assert reference_pair(mats, p) == (3, 7)
-    assert reps._first_anticommuting_pair(mats, p) == (3, 7)
+    assert reps._first_anticommuting_pair(mats, mats, p) == (3, 7)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -283,7 +279,7 @@ def test_staged_pair_scan_when_entry_00_vanishes_for_every_pair(p):
         s = np.einsum("aij,bjk->abik", mats, mats)
         assert ((s + s.transpose(1, 0, 2, 3))[:, :, 0, 0] % p == 0).all()
         want = reference_pair(mats, p)
-        assert reps._first_anticommuting_pair(mats, p) == want
+        assert reps._first_anticommuting_pair(mats, mats, p) == want
         found += want is not None
     assert 0 < found < 20
 
@@ -292,16 +288,86 @@ def test_staged_pair_scan_when_entry_00_vanishes_for_every_pair(p):
 def test_staged_pair_scan_finds_a_pair_planted_after_the_first_row_block(d, p):
     import numpy as np
 
-    n = reps._PAIR_BLOCK + 100
+    n = 356
     mats = np.zeros((n, d, d), dtype=np.int8)
-    a, b = reps._PAIR_BLOCK + 10, reps._PAIR_BLOCK + 50
+    a, b = 266, 306
     mats[a, 0, 1] = mats[a, 1, 0] = 1
     mats[b, 0, 0], mats[b, 1, 1] = 1, p - 1
     assert reference_pair(mats, p) == (a, b)
-    assert reps._first_anticommuting_pair(mats, p) == (a, b)
-    # a second witness earlier in the same block wins
-    mats[reps._PAIR_BLOCK + 5] = mats[a]
-    assert reps._first_anticommuting_pair(mats, p) == (reps._PAIR_BLOCK + 5, b)
+    assert reps._first_anticommuting_pair(mats, mats, p) == (a, b)
+    # a second witness earlier wins
+    mats[261] = mats[a]
+    assert reps._first_anticommuting_pair(mats, mats, p) == (261, b)
+
+
+def all_matrices(p, d):
+    """Every d x d matrix over F_p, in code order, as int8."""
+    import numpy as np
+
+    codes = np.arange(p ** (d * d))
+    return np.stack([codes // p ** q % p for q in range(d * d)], 1).reshape(-1, d, d).astype(np.int8)
+
+
+def nilpotent_3x3_mod3():
+    """The 3x3 matrices over F_3 with X^3 = 0, in code order."""
+    import numpy as np
+
+    M = all_matrices(3, 3).astype(np.int64)
+    return M[(M @ M @ M % 3 == 0).all(axis=(1, 2))].astype(np.int8)
+
+
+@pytest.mark.parametrize("p,d,want", [(3, 2, (3, 29)), (5, 2, (5, 129)), (3, 3, (10, 11))])
+def test_first_witness_matches_brute_force_on_conjugation_closed_sets(p, d, want):
+    # all of M_2(F_p), and the 729 nilpotent 3x3 matrices over F_3: sets
+    # closed under conjugation that do hold witnesses, scanned from one
+    # matrix per orbit
+    mats = all_matrices(p, d) if d == 2 else nilpotent_3x3_mod3()
+    assert len(mats) == {2: p ** 4, 3: 729}[d]
+    assert reference_pair(mats, p) == want
+    assert reps._first_witness(mats, p) == want
+
+
+@pytest.mark.parametrize("p,sizes,order", [(3, [1, 104], 11232), (5, [1, 744], 1488000)])
+def test_square_zero_conjugation_orbits(p, sizes, order):
+    from collections import Counter
+
+    from acaa.catalog import _encode, _gl_generators, _gl_order, _orbits
+
+    S = reps._square_zero(p, 3).astype(int)
+    images = [_encode(g @ S @ ginv % p, p) for g, ginv in _gl_generators(3, p)]
+    roots = _orbits(_encode(S, p), images, _gl_order(3, p))
+    got = sorted(Counter(roots).values())
+    assert got == sizes and sum(got) == len(S) and _gl_order(3, p) == order
+    assert all(order % s == 0 for s in got)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_first_witness_rejects_a_set_not_closed_under_conjugation(p):
+    import numpy as np
+
+    S = reps._square_zero(p, 3)
+    with pytest.raises(RuntimeError, match="orbit left the filtered set"):
+        reps._first_witness(np.delete(S, 1, axis=0), p)
+
+
+def test_pair_scan_refuses_more_cells_than_the_size_guard(monkeypatch):
+    import numpy as np
+
+    from acaa.algebra import _SIZE_GUARD
+
+    # 1,112 x 1,000 x 9 cells exceed the guard of 10^7; the inputs are
+    # broadcast views, so only the scan itself would allocate
+    rows = np.broadcast_to(np.zeros((1, 3, 3), dtype=np.int8), (1112, 3, 3))
+    cols = np.broadcast_to(np.zeros((1, 3, 3), dtype=np.int8), (1000, 3, 3))
+    assert len(rows) * len(cols) * 9 > _SIZE_GUARD
+    with pytest.raises(ValueError, match="pair scan too large"):
+        reps._first_anticommuting_pair(rows, cols, 5)
+    # the bound is inclusive: 10 x 10 x 9 cells pass at a guard of 900
+    monkeypatch.setattr(reps, "_SIZE_GUARD", 900)
+    small = np.zeros((10, 3, 3), dtype=np.int8)
+    assert reps._first_anticommuting_pair(small, small, 5) is None
+    with pytest.raises(ValueError, match="pair scan too large"):
+        reps._first_anticommuting_pair(small, np.zeros((11, 3, 3), dtype=np.int8), 5)
 
 
 def reference_square_zero(p, d):
