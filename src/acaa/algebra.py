@@ -25,8 +25,8 @@ from .linalg import Matrix, _from_ints, _int_rank, _int_reduce, _int_rows, _int_
 # x_a (x_b x_c), with (a, b, c) running through TRIPLE_PERMS in both blocks.
 TRIPLE_PERMS = ((1, 2, 3), (2, 1, 3), (3, 2, 1), (1, 3, 2), (2, 3, 1), (3, 1, 2))
 
-# Most cells a dense tensor may hold: dim <= 215 for an algebra, and the
-# candidate count of the mod-p oracle (catalog).
+# Most cells a dense tensor may hold: dim <= 215 for an algebra; it also
+# bounds the time of the h3 pair scan (reps), counted in product cells.
 _SIZE_GUARD = 10_000_000
 
 

@@ -10,9 +10,12 @@ matrices (``_gl_generators``, by union-find in ``_orbits``); no group
 table is built.  The law is a list of quadratic equations in the
 tensor's base-p digits, and ``_staged_filter`` solves them digit by
 digit: each partial tensor is dropped as soon as an equation whose
-digits are all set fails, in int8 arithmetic, which holds every sum for
-p <= 5 (|sum| <= 64); at dimension 3 and p = 5 at most 1,125 partial
-tensors are alive, not 5^9 codes.
+digits are all set fails; at dimension 3 and p = 5 at most 1,125 partial
+tensors are alive, not 5^9 codes.  The points are bytes, one digit per
+8-bit lane, and every F_p-linear map on them (the tensor action, and in
+``reps`` conjugation and the pair scan) goes through ``_linear_images``,
+which forms each image coordinate of all the points in one integer sum,
+one point per lane; p <= 5 keeps every lane below 256.
 ``reps.h3_faithfulness_search`` shares the filter for its square-zero
 matrices, and ``_orbits`` with the generators acting by conjugation, so
 that its pair scan starts from one matrix per orbit.
@@ -110,20 +113,28 @@ def recognize(A: Algebra) -> str:
 # --- exhaustive enumeration over F_p ---------------------------------------
 
 def _staged_filter(equations, n, p):
-    """The points of F_p^n where every equation vanishes mod p, as int8
-    digit rows in code order (digit q has weight p^q).
+    """The points of F_p^n where every equation vanishes mod p, as one
+    row-major bytes buffer of n-digit rows in code order (digit q has
+    weight p^q).
 
     An equation is a list of terms (sign, a, b) standing for
     sign * x_a * x_b.  The digits are set one at a time, in order of first
     use by the shortest equations; each step repeats the live partial
     points p times, appends the new digit, and drops every point that fails
     an equation whose digits are now all set, so an equation is tested once,
-    on the points that passed the ones before it.  The arithmetic is in
-    int8, which holds every sum for p <= 5 and at most 4 terms (|sum| <= 64).
-    """
-    import numpy as np
+    on the points that passed the steps before it.
 
+    The live points are byte columns, lane j of a column holding point j's
+    digit.  Read as integers, (x_a << 3) | x_b holds 8 x_a + x_b in each
+    lane, one ``bytes.translate`` maps it to the term mod p, and the terms
+    add lane by lane; a second translate sets bit 7 where a sum is nonzero
+    mod p, and deleting the lanes with bit 7 set compacts each column.
+    Digits below 8 and equation sums below 256 keep every lane in its byte;
+    inputs that would break either raise ValueError.
+    """
     equations = sorted(equations, key=len)
+    if p > 8 or any(len(eq) * (p - 1) > 255 for eq in equations):
+        raise ValueError(f"equations mod {p} overflow the 8-bit digit lanes")
     order = list(dict.fromkeys([v for eq in equations for _, a, b in eq for v in (a, b)]
                                + list(range(n))))
     step = {v: s for s, v in enumerate(order)}
@@ -131,24 +142,54 @@ def _staged_filter(equations, n, p):
     for eq in equations:
         terms = [(sign, step[a], step[b]) for sign, a, b in eq]
         due[max(max(a, b) for _, a, b in terms)].append(terms)
-    P = np.zeros((0, 1), dtype=np.int8)
+    term = {sign: bytes(sign * (x >> 3) * (x & 7) % p for x in range(256)) for sign in (1, -1)}
+    fails, marked = bytes(128 * (v % p != 0) for v in range(256)), bytes(range(128, 256))
+    cols, live = [], 1
     for s in range(n):
-        digit = np.repeat(np.arange(p, dtype=np.int8), P.shape[1])
-        P = np.vstack([np.tile(P, p), digit])
+        cols = [c * p for c in cols] + [b"".join(bytes((v,)) * live for v in range(p))]
+        live *= p
+        if not due[s]:
+            continue
+        lanes = [int.from_bytes(c, "little") for c in cols]
+        drop = 0
         for terms in due[s]:
-            acc = sum(sign * P[a] * P[b] for sign, a, b in terms)
-            P = P[:, acc % p == 0]
-    rows = P[[step[v] for v in range(n)]]
-    return np.ascontiguousarray(rows[:, np.lexsort(rows)].T)
+            acc = sum(int.from_bytes(((lanes[a] << 3) | lanes[b]).to_bytes(live, "little")
+                                     .translate(term[sign]), "little")
+                      for sign, a, b in terms)
+            drop |= int.from_bytes(acc.to_bytes(live, "little").translate(fails), "little")
+        cols = [(x | drop).to_bytes(live, "little").translate(None, marked) for x in lanes]
+        live = len(cols[0])
+    rows = bytearray(live * n)
+    for s, v in enumerate(order):
+        rows[v::n] = cols[s]
+    if order != sorted(order):  # the points are in step order, not code order
+        rows = b"".join(sorted((rows[i:i + n] for i in range(0, len(rows), n)),
+                               key=lambda row: row[::-1]))
+    return bytes(rows)
 
 
-def _encode(C, p):
-    """The codes of the digit rows C, shaped (n, ...), read in C order with
-    digit q of weight p^q, as int64."""
-    import numpy as np
+def _linear_images(matrix, rows, p):
+    """The images of the digit rows x under the F_p-linear map
+    y = matrix x, each as a bytes row of digits.
 
-    flat = C.reshape(len(C), -1)
-    return flat @ p ** np.arange(flat.shape[1], dtype=np.int64)
+    Digit q of every row, read as one integer X_q in base 256, holds one
+    row per byte lane, so sum_q (matrix[k][q] mod p) X_q holds coordinate k
+    of every image in its lanes, each at most n (p - 1)^2 for n digits;
+    n (p - 1)^2 >= 256 would carry into the next lane and raises
+    ValueError.
+    """
+    n, m = len(matrix[0]), len(matrix)
+    if n * (p - 1) ** 2 > 255:
+        raise ValueError(f"{n} digits mod {p} overflow the 8-bit lanes")
+    flat, count = b"".join(rows), len(rows)
+    X = [int.from_bytes(flat[q::n], "little") for q in range(n)]
+    mod_p = bytes(v % p for v in range(256))
+    images = bytearray(count * m)
+    for k, weights in enumerate(matrix):
+        lanes = sum(w % p * x for w, x in zip(weights, X))
+        images[k::m] = lanes.to_bytes(count, "little").translate(mod_p)
+    images = bytes(images)
+    return [images[i:i + m] for i in range(0, len(images), m)]
 
 
 def _acaa_checks(dim, pairs):
@@ -211,53 +252,33 @@ def _gl_generators(dim, p):
     group every inverse is a positive power, so the closure of a point
     under the generators alone is its whole orbit.
     """
-    import numpy as np
-
     root = next(g for g in range(1, p)
                 if len({pow(g, k, p) for k in range(1, p)}) == p - 1)
-    eye = np.eye(dim, dtype=np.int64)
-    gens = []
-    for i in range(dim):
-        for j in range(dim):
-            if i != j:
-                g, ginv = eye.copy(), eye.copy()
-                g[i, j], ginv[i, j] = 1, p - 1
-                gens.append((g, ginv))
-    g, ginv = eye.copy(), eye.copy()
-    g[0, 0], ginv[0, 0] = root, pow(root, p - 2, p)
-    gens.append((g, ginv))
+
+    def unit(i, j, v):  # the identity with entry (i, j) set to v
+        return [[v if (a, b) == (i, j) else int(a == b) for b in range(dim)]
+                for a in range(dim)]
+    gens = [(unit(i, j, 1), unit(i, j, p - 1))
+            for i in range(dim) for j in range(dim) if i != j]
+    gens.append((unit(0, 0, root), unit(0, 0, pow(root, p - 2, p))))
     return gens
 
 
-def _act(C, g, ginv, pairs, p):
-    """g^-1 c(g x, g y) for every skew tensor c in C, shaped (n, pairs, dim).
-
-    The bracket of the new basis pair (a, b) collects the old pair brackets
-    through the 2x2 minors of g, then returns to new coordinates by g^-1.
-    """
-    import numpy as np
-
-    minors = np.array([[g[i, a] * g[j, b] - g[j, a] * g[i, b] for a, b in pairs]
-                       for i, j in pairs], dtype=np.int64)
-    return np.einsum("st,nsm,km->ntk", minors, C, ginv) % p
-
-
-def _orbits(codes, images, order):
-    """The least index of each point's orbit, for the sorted codes of a
+def _orbits(points, images, order):
+    """The least index of each point's orbit, for the distinct points of a
     finite set and a group of the given order acting on it.
 
-    ``images`` holds, for each generator of the group, the codes of the
-    images of the points in order.  Every image is mapped back to an index,
+    ``images`` holds, for each generator of the group, the images of the
+    points in order.  Every image is mapped back to an index by a dict,
     and the orbits are the connected components of those edges (union-find,
     each union keeping the lesser root, so a root is the least index of its
     component).  In a finite group every inverse is a positive power, so
-    the components are the orbits.  An image outside the codes means the
+    the components are the orbits.  An image outside the points means the
     set is not closed under the action, and each orbit size must divide the
     group order (orbit-stabilizer); either failure raises RuntimeError.
     """
-    import numpy as np
-
-    n = len(codes)
+    index = {x: i for i, x in enumerate(points)}
+    n = len(points)
     parent = list(range(n))
 
     def find(x):
@@ -267,13 +288,14 @@ def _orbits(codes, images, order):
         return x
 
     for image in images:
-        idx = np.minimum(np.searchsorted(codes, image), n - 1)
-        if not (codes[idx] == image).all():
+        idx = list(map(index.get, image))
+        if None in idx:
             raise RuntimeError("orbit left the filtered set; the set is not closed"
                                " under the group")
-        for a, b in enumerate(idx.tolist()):
+        for a, b in enumerate(idx):
             ra, rb = find(a), find(b)
-            parent[max(ra, rb)] = min(ra, rb)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
     roots = [find(x) for x in range(n)]
     sizes = sorted(Counter(roots).values())
     if any(order % s for s in sizes):
@@ -283,26 +305,37 @@ def _orbits(codes, images, order):
 
 
 def _tensor_images(survivors, dim, p):
-    """The codes of the images of the sorted survivor codes under each
-    generator of ``_gl_generators``, by ``_act``."""
-    import numpy as np
+    """The images c -> g^-1 c(g x, g y) of the survivor digit rows under
+    each generator g of ``_gl_generators``, by ``_linear_images``.
 
+    Digit s dim + m of a tensor is coordinate m of the bracket of pair s.
+    The bracket of the new basis pair t = (a, b) collects the old pair
+    brackets through the 2x2 minors of g, then returns to new coordinates
+    by g^-1, so digit s dim + m moves to digit t dim + k with weight
+    minors[s][t] ginv[k][m].
+    """
     pairs = list(combinations(range(dim), 2))
-    # digit-major, as einsum in _act runs fastest on this layout
-    digits = survivors // p ** np.arange(len(pairs) * dim)[:, None] % p
-    C = digits.astype(np.int8).T.reshape(len(survivors), len(pairs), dim)
-    return [_encode(_act(C, g, ginv, pairs, p), p) for g, ginv in _gl_generators(dim, p)]
+    r, q = range(dim), range(len(pairs))
+    images = []
+    for g, ginv in _gl_generators(dim, p):
+        minors = [[g[i][a] * g[j][b] - g[j][a] * g[i][b] for a, b in pairs]
+                  for i, j in pairs]
+        action = [[minors[s][t] * ginv[k][m] for s in q for m in r] for t in q for k in r]
+        images.append(_linear_images(action, survivors, p))
+    return images
 
 
 def _scan(dim, p):
-    """Sorted codes of the skew tensors over F_p that pass every check of
-    ``_acaa_checks``: one equation per check and basis coordinate, over the
-    digits of the tensor in pair-major order (digit q dim + r is
-    coordinate r of the bracket of pair q)."""
+    """The skew tensors over F_p that pass every check of ``_acaa_checks``,
+    as digit rows in code order: one equation per check and basis
+    coordinate, over the digits of the tensor in pair-major order (digit
+    q dim + r is coordinate r of the bracket of pair q)."""
     pairs = list(combinations(range(dim), 2))
+    n = len(pairs) * dim
     equations = [[(sign, q1 * dim + m, q2 * dim + r) for sign, q1, m, q2 in terms]
                  for terms in _acaa_checks(dim, pairs) for r in range(dim)]
-    return _encode(_staged_filter(equations, len(pairs) * dim, p), p)
+    rows = _staged_filter(equations, n, p)
+    return [rows[i:i + n] for i in range(0, len(rows), n)]
 
 
 def enumerate_finite(dim: int, p: int, jobs: int = 1):
@@ -316,7 +349,8 @@ def enumerate_finite(dim: int, p: int, jobs: int = 1):
     """
     if dim not in (2, 3):
         raise ValueError("enumeration supports dimensions 2 and 3 only")
-    # p <= 5 keeps the int8 arithmetic of _staged_filter within |64|
+    # p <= 5 keeps the 8-bit lanes of _staged_filter and _linear_images in
+    # range: 9 (p - 1)^2 <= 144 < 256
     if not is_prime(p) or p == 2 or p > 5:
         raise ValueError("p must be an odd prime at most 5")
     survivors = _scan(dim, p)

@@ -14,14 +14,19 @@ with X^2 = Y^2 = 0 and XY = -YX and confirms that XY = 0 for every such
 pair, so no faithful triple of images exists for the 3-dimensional
 Heisenberg algebra at that matrix size.  Conjugation maps such pairs to
 such pairs, so the scan starts only from one matrix per GL(3, p)-orbit
-(``_first_witness`` proves that the first witness is unchanged).  In
+(``_first_witness`` proves that the first witness is unchanged).  The
+matrices are rows of byte digits, and conjugation and the pair products
+are F_p-linear maps applied by ``catalog._linear_images``.  In
 characteristic 3 the law implies the Jacobi identity (the Jacobi sum is
 3 [x,[y,z]]), so at p = 3 every algebra satisfying the law is also a Lie
 algebra.
 """
 
+from math import isqrt
+
 from .algebra import _SIZE_GUARD, Algebra, Element, _mul_into, _nonzero, check_acaa
-from .catalog import _encode, _gl_generators, _gl_order, _orbits, _staged_filter
+from .catalog import (_gl_generators, _gl_order, _linear_images, _orbits,
+                      _staged_filter)
 from .linalg import Matrix, _int_rows
 
 
@@ -202,28 +207,29 @@ def h3_faithfulness_search(p: int, d: int = 3, jobs: int = 1):
     found = _first_witness(nilpotents, p)
     if found is None:
         return None
-    return tuple(tuple(tuple(int(v) for v in row) for row in nilpotents[i]) for i in found)
+    return tuple(tuple(tuple(nilpotents[i][r * d:(r + 1) * d]) for r in range(d))
+                 for i in found)
 
 
 def _square_zero(p, d):
-    """Every d x d matrix X over F_p with X^2 = 0, in code order (entry
-    (i, k) is digit i d + k, of weight p^(i d + k)), as int8.
+    """Every d x d matrix X over F_p with X^2 = 0, in code order, as digit
+    rows of d^2 bytes (entry (i, k) is digit i d + k, of weight p^(i d + k)).
 
     The d^2 equations are the entries of X^2, each a sum of d products
     X[i, m] X[m, k], solved by ``catalog._staged_filter``; with d = 3 and
-    p <= 5 every sum lies in [0, 48].
+    p <= 5 every sum of terms mod p lies in [0, 12], within its 8-bit lane.
     """
     equations = [[(1, i * d + m, m * d + k) for m in range(d)]
                  for i in range(d) for k in range(d)]
     rows = _staged_filter(equations, d * d, p)
-    return rows.reshape(len(rows), d, d)
+    return [rows[i:i + d * d] for i in range(0, len(rows), d * d)]
 
 
 def _first_witness(mats, p):
     """The first (a, b) in lexicographic order with mats[a] mats[b] != 0 and
     mats[a] mats[b] = -mats[b] mats[a] mod p, for odd p, or None; mats is
-    a set of d x d matrices in code order, closed under conjugation by
-    GL(d, p).
+    a set of d x d matrices, digit rows in code order, closed under
+    conjugation by GL(d, p).
 
     Only the least member of each conjugation orbit is scanned as a, against
     every b.  Proof.  (g X g^-1)(g Y g^-1) = g XY g^-1, so conjugation by g
@@ -235,39 +241,47 @@ def _first_witness(mats, p):
     with b < a would make b a lesser index with a witness; and a = b is
     never one, as X X = -X X gives 2 X^2 = 0, so X^2 = 0 for odd p.
 
-    The orbits come from ``catalog._orbits`` on the codes of mats and their
-    conjugates by ``catalog._gl_generators``; a conjugate outside mats
-    raises RuntimeError.
+    The orbits come from ``catalog._orbits`` on mats and their conjugates
+    by ``catalog._gl_generators``: entry (b, e) of X moves to entry (a, c)
+    of g X g^-1 with weight g[a][b] ginv[e][c], one map for
+    ``catalog._linear_images``.  A conjugate outside mats raises
+    RuntimeError.
     """
-    import numpy as np
-
-    d = mats.shape[-1]
-    M = np.asarray(mats, dtype=np.int64)
-    codes = _encode(M, p)
-    images = [_encode(g @ M @ ginv % p, p) for g, ginv in _gl_generators(d, p)]
-    roots = _orbits(codes, images, _gl_order(d, p))
+    d = isqrt(len(mats[0]))
+    r = range(d)
+    images = [_linear_images([[g[a][b] * ginv[e][c] for b in r for e in r]
+                              for a in r for c in r], mats, p)
+              for g, ginv in _gl_generators(d, p)]
+    roots = _orbits(mats, images, _gl_order(d, p))
     least = [a for a, root in enumerate(roots) if a == root]
-    found = _first_anticommuting_pair(M[least], M, p)
+    found = _first_anticommuting_pair([mats[a] for a in least], mats, p)
     return None if found is None else (least[found[0]], found[1])
 
 
 def _first_anticommuting_pair(rows, cols, p):
     """The first (a, b) in lexicographic order with rows[a] cols[b] != 0 and
-    rows[a] cols[b] = -cols[b] rows[a] mod p, or None.
+    rows[a] cols[b] = -cols[b] rows[a] mod p, or None; the matrices are
+    d x d digit rows.
 
-    XY and YX are formed for every pair at once, in int64.  A scan of more
-    than ``algebra._SIZE_GUARD`` cells (len(rows) len(cols) d^2) is refused
-    with ValueError before anything is allocated.
+    For each X = rows[a], ``catalog._linear_images`` applies the F_p-linear
+    map Y -> XY + YX to every column matrix, and then Y -> XY to those where
+    it vanishes.  A scan of more than ``algebra._SIZE_GUARD`` cells
+    (len(rows) len(cols) d^2) is refused with ValueError before it starts;
+    the guard bounds the scan's time, as only the products of one X are
+    held at a time.
     """
-    import numpy as np
-
-    d = rows.shape[-1]
+    d = isqrt(len(cols[0]))
     cells = len(rows) * len(cols) * d * d
     if cells > _SIZE_GUARD:
         raise ValueError(f"pair scan too large ({cells} > {_SIZE_GUARD} cells)")
-    X = np.asarray(rows, dtype=np.int64)[:, None]
-    Y = np.asarray(cols, dtype=np.int64)[None]
-    xy = X @ Y % p
-    bad = ((xy + Y @ X) % p == 0).all(axis=(2, 3)) & xy.any(axis=(2, 3))
-    first = np.argwhere(bad)
-    return tuple(int(v) for v in first[0]) if len(first) else None
+    r, zero = range(d), bytes(d * d)
+    for a, X in enumerate(rows):
+        # the weights of entry (b, e) of Y in entry (i, k) of XY and of YX
+        xy = [[X[i * d + b] * (e == k) for b in r for e in r] for i in r for k in r]
+        yx = [[(b == i) * X[e * d + k] for b in r for e in r] for i in r for k in r]
+        anti = [[u + v for u, v in zip(s, t)] for s, t in zip(xy, yx)]
+        hits = [b for b, y in enumerate(_linear_images(anti, cols, p)) if y == zero]
+        for b, y in zip(hits, _linear_images(xy, [cols[b] for b in hits], p)):
+            if y != zero:
+                return a, b
+    return None

@@ -8,7 +8,7 @@ import pytest
 
 from acaa.algebra import (change_basis, check_acaa, check_quadratic_identity,
                           fingerprint, jacobi_coeffs)
-from acaa.catalog import (_encode, _gl_generators, _gl_order, _orbits, _scan,
+from acaa.catalog import (_gl_generators, _gl_order, _linear_images, _orbits, _scan,
                           _staged_filter, _tensor_images, all_entries, catalog,
                           entry, enumerate_finite, recognize)
 from acaa.fields import PrimeField, Q
@@ -127,35 +127,48 @@ def reference_decode(codes, count, p):
     return out.T
 
 
+def as_array(buffer, n):
+    """A row-major buffer of n-digit rows as an int8 array of shape (rows, n)."""
+    assert len(buffer) % n == 0
+    return np.frombuffer(buffer, dtype=np.int8).reshape(-1, n)
+
+
+def encode(rows, p):
+    """The int64 codes of a list of digit rows, digit q of weight p^q."""
+    n = len(rows[0])
+    return as_array(b"".join(rows), n).astype(np.int64) @ p ** np.arange(n, dtype=np.int64)
+
+
 def assert_decode_matches_divmod(rows, codes, count, p):
     assert rows.dtype == np.int8 and rows.shape == (len(codes), count)
     assert np.array_equal(rows, reference_decode(codes, count, p))
-    # _encode inverts it, read as (pair, coordinate) digits of a dim-3 tensor
-    assert np.array_equal(_encode(rows.reshape(len(codes), count // 3, 3), p), codes)
 
 
 def test_decode_is_int8_and_matches_divmod_on_all_of_f3_9():
-    # with no equations the filter keeps every point, in code order
+    # with no equations the filter keeps every point, in code order, as one
+    # row-major buffer of 9-digit rows
     rows = _staged_filter([], 9, 3)
-    assert_decode_matches_divmod(rows, np.arange(3 ** 9, dtype=np.int64), 9, 3)
+    assert type(rows) is bytes and len(rows) == 9 * 3 ** 9
+    assert_decode_matches_divmod(as_array(rows, 9), np.arange(3 ** 9, dtype=np.int64), 9, 3)
 
 
 def test_decode_matches_divmod_on_random_codes_mod5():
     rng = np.random.default_rng(7)
     codes = np.concatenate([rng.integers(0, 5 ** 9, 50000), [0, 5 ** 9 - 1]])
-    assert_decode_matches_divmod(_staged_filter([], 9, 5)[codes], codes, 9, 5)
+    assert_decode_matches_divmod(as_array(_staged_filter([], 9, 5), 9)[codes], codes, 9, 5)
 
 
 def test_decode_matches_divmod_on_non_contiguous_survivor_codes():
+    # the filter sets the digits out of code order, so its points are
+    # sorted back into code order at the end
     survivors = _scan(3, 5)
-    assert len(survivors) == 125 and (np.diff(survivors) > 1).any()
-    # _encode inverts the divmod digits in a digit-major (transposed) int8
-    # view, the layout _tensor_images builds from the survivors
-    rows = reference_decode(survivors, 9, 5).astype(np.int8)
-    assert not rows.flags["C_CONTIGUOUS"]
-    assert np.array_equal(_encode(rows.reshape(125, 3, 3), 5), survivors)
+    assert all(type(row) is bytes and len(row) == 9 for row in survivors)
+    codes = encode(survivors, 5)
+    assert len(survivors) == 125 and (np.diff(codes) > 0).all() and (np.diff(codes) > 1).any()
+    assert_decode_matches_divmod(as_array(b"".join(survivors), 9), codes, 9, 5)
     codes = np.arange(5 ** 9, dtype=np.int64)[::997]
-    assert np.array_equal(_encode(reference_decode(codes, 9, 5), 5), codes)
+    rows = [r.astype(np.int8).tobytes() for r in reference_decode(codes, 9, 5)]
+    assert np.array_equal(encode(rows, 5), codes)
 
 
 def reference_acaa_mask(C, dim, p, pairs):
@@ -208,8 +221,8 @@ def assert_scan_matches_reference(codes, survivors, dim, p):
 @pytest.mark.parametrize("dim,p", [(2, 3), (2, 5), (3, 3)])
 def test_staged_mask_matches_reference_on_whole_space(dim, p):
     total = p ** (dim * (dim * (dim - 1) // 2))
-    survivors = _scan(dim, p)
-    assert survivors.dtype == np.int64 and (np.diff(survivors) > 0).all()
+    survivors = encode(_scan(dim, p), p)
+    assert (np.diff(survivors) > 0).all()
     kept = assert_scan_matches_reference(np.arange(total, dtype=np.int64), survivors, dim, p)
     assert kept == len(survivors) == (1 if dim == 2 else p ** 3)
 
@@ -233,7 +246,7 @@ def omega_z_codes(p):
 def test_staged_mask_matches_reference_on_random_mod5_chunks():
     rng = np.random.default_rng(11)
     total = 5 ** 9
-    survivors = _scan(3, 5)
+    survivors = encode(_scan(3, 5), 5)
     for _ in range(3):
         lo = int(rng.integers(0, total - 4096))
         assert_scan_matches_reference(np.arange(lo, lo + 4096, dtype=np.int64),
@@ -248,27 +261,66 @@ def test_staged_mask_matches_reference_on_random_mod5_chunks():
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_scan_equations_keep_int8_sums_in_bounds(monkeypatch, dim):
-    # |sum| <= (terms) (p - 1)^2 <= 4 * 16 = 64 for p <= 5
+def test_scan_equations_keep_lane_sums_below_256(monkeypatch, dim):
+    # each term reads its two digits as one lane 8 x_a + x_b, so digits stay
+    # below 8; each term adds at most p - 1 to its equation's lane, so the
+    # sum stays below 256: here at most 4 * 4 = 16 for p <= 5
     import acaa.catalog as m
 
     seen = []
 
     def recording(equations, n, p):
-        seen.append((list(equations), p))
+        seen.append((list(equations), n, p))
         return filter_(equations, n, p)
 
     filter_ = m._staged_filter
     monkeypatch.setattr(m, "_staged_filter", recording)
     for p in (3, 5):
         assert enumerate_finite(dim, p) == ((1, 1) if dim == 2 else (p ** 3, 2))
-    assert [p for _, p in seen] == [3, 5]
-    for equations, p in seen:
+    assert [p for _, _, p in seen] == [3, 5]
+    for equations, n, p in seen:
         assert len(equations) == dim * len(list(combinations(range(dim), 2))) * dim
         for eq in equations:
             assert 0 < len(eq) <= 2 * (dim - 1)
-            assert all(sign in (1, -1) for sign, _, _ in eq)
-            assert len(eq) * (p - 1) ** 2 <= 64
+            assert all(sign in (1, -1) and 0 <= a < n and 0 <= b < n for sign, a, b in eq)
+            assert p - 1 < 8 and len(eq) * (p - 1) < 256
+
+
+def test_staged_filter_refuses_digits_or_sums_that_overflow_a_lane():
+    # a digit of 8 or more spills out of its 3 bits of the term lane
+    with pytest.raises(ValueError, match="overflow the 8-bit digit lanes"):
+        _staged_filter([[(1, 0, 1)]], 2, 11)
+    # 42 terms of at most 6 sum to 252 < 256; 43 would reach 258
+    eq = [(1, 0, 1)] * 41 + [(-1, 0, 0)]
+    kept = _staged_filter([eq], 2, 7)
+    assert as_array(kept, 2).tolist() == [[a, b] for b in range(7) for a in range(7)
+                                          if (41 * a * b - a * a) % 7 == 0]
+    with pytest.raises(ValueError, match="overflow the 8-bit digit lanes"):
+        _staged_filter([eq + [(1, 1, 1)]], 2, 7)
+    # and 64 terms of at most 4 reach 256 exactly
+    with pytest.raises(ValueError, match="overflow the 8-bit digit lanes"):
+        _staged_filter([[(1, 0, 1)] * 64], 2, 5)
+
+
+@pytest.mark.parametrize("n,m,p", [(9, 9, 3), (9, 9, 5), (9, 3, 5), (15, 4, 5), (7, 7, 7),
+                                   (4, 4, 7)])
+def test_linear_images_match_the_integer_matrix_product(n, m, p):
+    # every lane of an image sums at most n (p - 1)^2 < 256: 144 at (9, 5),
+    # 240 at (15, 5) and 252 at (7, 7), the all-(p - 1) matrix and digits
+    # included
+    rng = np.random.default_rng(31 * n + p)
+    X = np.concatenate([rng.integers(0, p, size=(300, n)), np.full((1, n), p - 1)])
+    for M in (rng.integers(-2 * p, 2 * p, size=(m, n)), np.full((m, n), p - 1)):
+        got = _linear_images(M.tolist(), [bytes(x.tolist()) for x in X], p)
+        assert np.array_equal(as_array(b"".join(got), m), (X @ M.T) % p)
+
+
+def test_linear_images_refuse_lanes_of_256_or_more():
+    # n (p - 1)^2 = 9 * 36 = 324, 8 * 36 = 288 and 16 * 16 = 256 would carry
+    # into the next lane
+    for n, p in ((9, 7), (8, 7), (3, 11), (16, 5)):
+        with pytest.raises(ValueError, match="overflow the 8-bit lanes"):
+            _linear_images([[1] * n], [bytes(n)], p)
 
 
 def test_enumerate_parameter_validation():
@@ -288,7 +340,7 @@ def test_enumerate_jobs_partition_is_deterministic():
 def test_generators_close_to_all_of_gl(dim, p, order):
     # certificate for the generating set: the closure of the identity under
     # the generators is the whole group, counted by the product formula
-    gens = _gl_generators(dim, p)
+    gens = [(np.array(g), np.array(ginv)) for g, ginv in _gl_generators(dim, p)]
     identity = np.eye(dim, dtype=np.int64)
     for g, ginv in gens:
         assert ((g @ ginv) % p == identity).all()
@@ -304,6 +356,24 @@ def test_generators_close_to_all_of_gl(dim, p, order):
                     nxt.append(h)
         frontier = nxt
     assert len(seen) == order == gl_order(dim, p) == _gl_order(dim, p)
+
+
+@pytest.mark.parametrize("dim,p", [(2, 5), (3, 3), (3, 5)])
+def test_tensor_images_match_the_bilinear_action(dim, p):
+    # g^-1 c(g e_a, g e_b) expanded over the full skew tensor, against the
+    # action's matrix of 2x2 minors, on random tensors
+    pairs = list(combinations(range(dim), 2))
+    rng = np.random.default_rng(dim * p)
+    C = rng.integers(0, p, size=(200, len(pairs), dim))
+    T = np.zeros((200, dim, dim, dim), dtype=np.int64)
+    for q, (i, j) in enumerate(pairs):
+        T[:, i, j], T[:, j, i] = C[:, q], -C[:, q]
+    rows = [bytes(c.ravel().tolist()) for c in C]
+    firsts, seconds = [a for a, _ in pairs], [b for _, b in pairs]
+    for (g, ginv), images in zip(_gl_generators(dim, p), _tensor_images(rows, dim, p)):
+        full = np.einsum("ia,jb,nijm,km->nabk", g, g, T, ginv) % p
+        got = as_array(b"".join(images), len(pairs) * dim).reshape(200, len(pairs), dim)
+        assert np.array_equal(got, full[:, firsts, seconds])
 
 
 @pytest.mark.parametrize("p", [3, 5])

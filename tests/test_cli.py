@@ -359,12 +359,16 @@ def test_cli_import_does_not_load_numpy():
     ["fingerprint", "free3"], ["check", "--identity", "acaa", "h5"], ["recognize", "L5"],
     ["cohomology", "--check", "d2d1", "--algebra", "h5", "--samples", "2"],
     ["cohomology", "--check", "gmap", "--algebra", "free3"],
-), ids=("fingerprint", "check", "recognize", "cohomology-d2d1", "cohomology-gmap"))
+    ["enumerate", "--dim", "3", "--p", "5"], ["rep-check", "--h3-search", "--p", "5"],
+), ids=("fingerprint", "check", "recognize", "cohomology-d2d1", "cohomology-gmap",
+        "enumerate", "h3-search"))
 def test_algebra_commands_run_without_numpy(argv):
     # the integer kernel behind check_acaa, fingerprint, change_basis and the
-    # cochain differentials is pure Python; only the exhaustive searches load numpy
-    code = ("import sys; from acaa.cli import main; code = main(sys.argv[1:]); "
-            "assert 'numpy' not in sys.modules; sys.exit(code)")
+    # cochain differentials is pure Python, and so are the exhaustive mod-p
+    # searches, whose points are byte rows.  numpy is blocked (an import of it
+    # raises ImportError), so a command that needed it would not exit 0
+    code = ("import sys; sys.modules['numpy'] = None; from acaa.cli import main; "
+            "code = main(sys.argv[1:]); assert sys.modules['numpy'] is None; sys.exit(code)")
     subprocess.run([sys.executable, "-c", code] + argv, env=src_env(), check=True,
                    capture_output=True)
 

@@ -194,18 +194,33 @@ def reference_pair(mats, p):
     return tuple(int(v) for v in np.argwhere(bad)[0]) if bad.any() else None
 
 
-def test_blocked_pair_scan_matches_full_product_array():
+def as_rows(mats):
+    """d x d integer matrices with entries in [0, p) as digit rows, entry
+    (i, k) at byte i d + k."""
     import numpy as np
 
-    # int8 input, as _square_zero gives it
+    mats = np.asarray(mats)
+    return [m.astype(np.uint8).tobytes() for m in mats.reshape(len(mats), -1)]
+
+
+def from_rows(rows, d):
+    """Digit rows back to an int64 array of d x d matrices."""
+    import numpy as np
+
+    return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(-1, d, d).astype(np.int64)
+
+
+def test_pair_scan_matches_full_product_array():
+    import numpy as np
+
     rng = np.random.default_rng(5)
     for d, p in ((2, 3), (3, 3), (3, 5)):
         found = 0
         for _ in range(40):
             mats = (rng.integers(0, p, size=(10, d, d))
-                    * (rng.random((10, d, d)) < 0.3)).astype(np.int8)
+                    * (rng.random((10, d, d)) < 0.3))
             want = reference_pair(mats, p)
-            assert reps._first_anticommuting_pair(mats, mats, p) == want
+            assert reps._first_anticommuting_pair(as_rows(mats), as_rows(mats), p) == want
             found += want is not None
         assert 0 < found < 40
 
@@ -214,7 +229,7 @@ def test_blocked_pair_scan_matches_full_product_array():
         mats[70, 0, 1] = mats[70, 1, 0] = 1
         mats[130, 0, 0], mats[130, 1, 1] = 1, p - 1
         assert reference_pair(mats, p) == (70, 130)
-        assert reps._first_anticommuting_pair(mats, mats, p) == (70, 130)
+        assert reps._first_anticommuting_pair(as_rows(mats), as_rows(mats), p) == (70, 130)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -241,33 +256,43 @@ def test_pair_scan_finds_a_witness_planted_larger_index_first(p):
         mats[i] = 0
         redraw([i])
     assert (np.einsum("nij,njk->nik", mats, mats) % p).any(axis=(1, 2)).all()
-    mats = mats.astype(np.int8)
-    assert reps._first_anticommuting_pair(mats, mats, p) == (70, 130)
+    assert reps._first_anticommuting_pair(as_rows(mats), as_rows(mats), p) == (70, 130)
 
 
-def test_staged_pair_scan_sums_leave_int8():
-    # a dense anticommuting pair mod 11, the planted pair conjugated by a
-    # matrix P: the integer sums of XY + YX leave int8
+@pytest.mark.parametrize("d,p", [(3, 5), (2, 7)])
+def test_pair_scan_lanes_hold_dense_sums(d, p):
+    # a dense anticommuting pair, the planted pair conjugated by a matrix P,
+    # at the largest p whose lanes d^2 (p - 1)^2 stay below 256 (144 and 144)
     import numpy as np
 
-    p = 11
-    P = np.array([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
-    Pinv = np.array([[3, 6, 1], [3, 0, 9], [1, 9, 1]])
-    assert ((P @ Pinv) % p == np.eye(3, dtype=int)).all()
-    X0 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-    Y0 = np.array([[1, 0, 0], [0, p - 1, 0], [0, 0, 0]])
-    mats = np.zeros((10, 3, 3), dtype=np.int8)
+    from acaa.fields import PrimeField
+    from acaa.linalg import Matrix
+
+    P = np.array({3: [[1, 2, 3], [4, 5, 6], [7, 8, 10]], 2: [[2, 3], [5, 6]]}[d])
+    Pinv = np.array([[v.r for v in row]
+                     for row in Matrix.build(PrimeField(p), P.tolist()).inverse().entries])
+    assert ((P @ Pinv) % p == np.eye(d, dtype=int)).all()
+    X0, Y0 = np.zeros((d, d), dtype=int), np.zeros((d, d), dtype=int)
+    X0[0, 1] = X0[1, 0] = 1
+    Y0[0, 0], Y0[1, 1] = 1, p - 1
+    mats = np.zeros((10, d, d), dtype=np.int64)
     mats[3], mats[7] = P @ X0 @ Pinv % p, P @ Y0 @ Pinv % p
-    X, Y = mats[3].astype(np.int64), mats[7].astype(np.int64)
-    assert (X @ Y + Y @ X).max() > 127
+    assert (mats[3] != 0).sum() + (mats[7] != 0).sum() >= d * d
     assert reference_pair(mats, p) == (3, 7)
-    assert reps._first_anticommuting_pair(mats, mats, p) == (3, 7)
+    assert reps._first_anticommuting_pair(as_rows(mats), as_rows(mats), p) == (3, 7)
+
+
+def test_pair_scan_refuses_lanes_of_256_or_more():
+    # 9 (p - 1)^2 = 324 at p = 7 and 900 at p = 11 would carry between lanes
+    for p in (7, 11):
+        with pytest.raises(ValueError, match="overflow the 8-bit lanes"):
+            reps._first_anticommuting_pair([bytes(9)], [bytes(9)], p)
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_staged_pair_scan_when_entry_00_vanishes_for_every_pair(p):
     # first row and first column zero: entry (0, 0) of XY + YX is 0 for all
-    # pairs, so the first stage keeps all n^2 of them
+    # pairs
     import numpy as np
 
     rng = np.random.default_rng(p)
@@ -279,7 +304,7 @@ def test_staged_pair_scan_when_entry_00_vanishes_for_every_pair(p):
         s = np.einsum("aij,bjk->abik", mats, mats)
         assert ((s + s.transpose(1, 0, 2, 3))[:, :, 0, 0] % p == 0).all()
         want = reference_pair(mats, p)
-        assert reps._first_anticommuting_pair(mats, mats, p) == want
+        assert reps._first_anticommuting_pair(as_rows(mats), as_rows(mats), p) == want
         found += want is not None
     assert 0 < found < 20
 
@@ -289,15 +314,15 @@ def test_staged_pair_scan_finds_a_pair_planted_after_the_first_row_block(d, p):
     import numpy as np
 
     n = 356
-    mats = np.zeros((n, d, d), dtype=np.int8)
+    mats = np.zeros((n, d, d), dtype=np.int64)
     a, b = 266, 306
     mats[a, 0, 1] = mats[a, 1, 0] = 1
     mats[b, 0, 0], mats[b, 1, 1] = 1, p - 1
     assert reference_pair(mats, p) == (a, b)
-    assert reps._first_anticommuting_pair(mats, mats, p) == (a, b)
+    assert reps._first_anticommuting_pair(as_rows(mats), as_rows(mats), p) == (a, b)
     # a second witness earlier wins
     mats[261] = mats[a]
-    assert reps._first_anticommuting_pair(mats, mats, p) == (261, b)
+    assert reps._first_anticommuting_pair(as_rows(mats), as_rows(mats), p) == (261, b)
 
 
 def all_matrices(p, d):
@@ -324,18 +349,34 @@ def test_first_witness_matches_brute_force_on_conjugation_closed_sets(p, d, want
     mats = all_matrices(p, d) if d == 2 else nilpotent_3x3_mod3()
     assert len(mats) == {2: p ** 4, 3: 729}[d]
     assert reference_pair(mats, p) == want
-    assert reps._first_witness(mats, p) == want
+    assert reps._first_witness(as_rows(mats), p) == want
+
+
+def test_h3_search_returns_a_witness_as_integer_matrices(monkeypatch):
+    # fed the nilpotent matrices, which do hold witnesses, the search
+    # returns the first one as nested tuples of ints
+    rows = as_rows(nilpotent_3x3_mod3())
+    monkeypatch.setattr(reps, "_square_zero", lambda p, d: rows)
+    X, Y = h3_faithfulness_search(3)
+    want = from_rows([rows[10], rows[11]], 3)
+    assert (X, Y) == tuple(tuple(map(tuple, m.tolist())) for m in want)
+    assert all(type(v) is int for m in (X, Y) for row in m for v in row)
 
 
 @pytest.mark.parametrize("p,sizes,order", [(3, [1, 104], 11232), (5, [1, 744], 1488000)])
 def test_square_zero_conjugation_orbits(p, sizes, order):
+    # the conjugates by the generators formed in int64 matrix products
     from collections import Counter
 
-    from acaa.catalog import _encode, _gl_generators, _gl_order, _orbits
+    import numpy as np
 
-    S = reps._square_zero(p, 3).astype(int)
-    images = [_encode(g @ S @ ginv % p, p) for g, ginv in _gl_generators(3, p)]
-    roots = _orbits(_encode(S, p), images, _gl_order(3, p))
+    from acaa.catalog import _gl_generators, _gl_order, _orbits
+
+    S = reps._square_zero(p, 3)
+    M = from_rows(S, 3)
+    images = [as_rows(np.array(g) @ M @ np.array(ginv) % p)
+              for g, ginv in _gl_generators(3, p)]
+    roots = _orbits(S, images, _gl_order(3, p))
     got = sorted(Counter(roots).values())
     assert got == sizes and sum(got) == len(S) and _gl_order(3, p) == order
     assert all(order % s == 0 for s in got)
@@ -343,31 +384,26 @@ def test_square_zero_conjugation_orbits(p, sizes, order):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_first_witness_rejects_a_set_not_closed_under_conjugation(p):
-    import numpy as np
-
     S = reps._square_zero(p, 3)
     with pytest.raises(RuntimeError, match="orbit left the filtered set"):
-        reps._first_witness(np.delete(S, 1, axis=0), p)
+        reps._first_witness(S[:1] + S[2:], p)
 
 
 def test_pair_scan_refuses_more_cells_than_the_size_guard(monkeypatch):
-    import numpy as np
-
     from acaa.algebra import _SIZE_GUARD
 
-    # 1,112 x 1,000 x 9 cells exceed the guard of 10^7; the inputs are
-    # broadcast views, so only the scan itself would allocate
-    rows = np.broadcast_to(np.zeros((1, 3, 3), dtype=np.int8), (1112, 3, 3))
-    cols = np.broadcast_to(np.zeros((1, 3, 3), dtype=np.int8), (1000, 3, 3))
+    # 1,112 x 1,000 x 9 cells exceed the guard of 10^7; the inputs repeat
+    # one row, so only the scan itself would take time
+    rows, cols = [bytes(9)] * 1112, [bytes(9)] * 1000
     assert len(rows) * len(cols) * 9 > _SIZE_GUARD
     with pytest.raises(ValueError, match="pair scan too large"):
         reps._first_anticommuting_pair(rows, cols, 5)
     # the bound is inclusive: 10 x 10 x 9 cells pass at a guard of 900
     monkeypatch.setattr(reps, "_SIZE_GUARD", 900)
-    small = np.zeros((10, 3, 3), dtype=np.int8)
+    small = [bytes(9)] * 10
     assert reps._first_anticommuting_pair(small, small, 5) is None
     with pytest.raises(ValueError, match="pair scan too large"):
-        reps._first_anticommuting_pair(small, np.zeros((11, 3, 3), dtype=np.int8), 5)
+        reps._first_anticommuting_pair(small, [bytes(9)] * 11, 5)
 
 
 def reference_square_zero(p, d):
@@ -391,8 +427,8 @@ def test_grid_square_zero_equals_the_chunked_filter(p):
     import numpy as np
 
     got = reps._square_zero(p, 3)
-    assert got.dtype == np.int8
-    assert np.array_equal(got, reference_square_zero(p, 3))
+    assert all(type(row) is bytes and len(row) == 9 for row in got)
+    assert np.array_equal(from_rows(got, 3), reference_square_zero(p, 3))
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -404,12 +440,13 @@ def test_square_zero_count_matches_closed_form(p):
     # give the same matrix
     nilpotents = reps._square_zero(p, 3)
     assert len(nilpotents) == 1 + (p ** 3 - 1) * (p + 1) == {3: 105, 5: 745}[p]
-    codes = nilpotents.reshape(len(nilpotents), 9).astype(np.int64) @ (p ** np.arange(9))
+    codes = from_rows(nilpotents, 3).reshape(len(nilpotents), 9) @ (p ** np.arange(9))
     assert (np.diff(codes) > 0).all()
 
 
-def test_square_zero_equations_keep_int8_sums_in_bounds(monkeypatch):
-    # d terms of (p - 1)^2 each: at most 3 * 16 = 48 for d = 3, p <= 5
+def test_square_zero_equations_keep_lane_sums_below_256(monkeypatch):
+    # digits below 8 for the term lanes 8 x_a + x_b, and d terms of at most
+    # p - 1 each: at most 3 * 4 = 12 < 256 for d = 3, p <= 5
     seen = []
 
     def recording(equations, n, p):
@@ -421,11 +458,12 @@ def test_square_zero_equations_keep_int8_sums_in_bounds(monkeypatch):
     for p in (3, 5):
         assert h3_faithfulness_search(p) is None
     assert [(n, p) for _, n, p in seen] == [(9, 3), (9, 5)]
-    for equations, _, p in seen:
+    for equations, n, p in seen:
         assert len(equations) == 9
         for eq in equations:
-            assert len(eq) == 3 and all(sign == 1 for sign, _, _ in eq)
-            assert len(eq) * (p - 1) ** 2 <= 48
+            assert len(eq) == 3 and all(sign == 1 and 0 <= a < n and 0 <= b < n
+                                        for sign, a, b in eq)
+            assert p - 1 < 8 and len(eq) * (p - 1) < 256
 
 
 def test_h3_search_jobs_deterministic():
