@@ -242,20 +242,23 @@ def _first_witness(mats, p):
     never one, as X X = -X X gives 2 X^2 = 0, so X^2 = 0 for odd p.
 
     The orbits come from ``catalog._orbits`` on mats and their conjugates
-    by ``catalog._gl_generators``: entry (b, e) of X moves to entry (a, c)
-    of g X g^-1 with weight g[a][b] ginv[e][c], one map for
-    ``catalog._linear_images``.  A conjugate outside mats raises
-    RuntimeError.
+    by ``catalog._gl_generators``, X -> g X g^-1 by ``_two_sided``; a
+    conjugate outside mats raises RuntimeError.
     """
     d = isqrt(len(mats[0]))
-    r = range(d)
-    images = [_linear_images([[g[a][b] * ginv[e][c] for b in r for e in r]
-                              for a in r for c in r], mats, p)
+    images = [_linear_images(_two_sided(g, ginv), mats, p)
               for g, ginv in _gl_generators(d, p)]
     roots = _orbits(mats, images, _gl_order(d, p))
     least = [a for a, root in enumerate(roots) if a == root]
     found = _first_anticommuting_pair([mats[a] for a in least], mats, p)
     return None if found is None else (least[found[0]], found[1])
+
+
+def _two_sided(A, B):
+    """The matrix of Y -> A Y B on d x d digit rows: entry (b, e) of Y
+    moves to entry (a, c) with weight A[a][b] B[e][c]."""
+    r = range(len(A))
+    return [[A[a][b] * B[e][c] for b in r for e in r] for a in r for c in r]
 
 
 def _first_anticommuting_pair(rows, cols, p):
@@ -275,11 +278,11 @@ def _first_anticommuting_pair(rows, cols, p):
     if cells > _SIZE_GUARD:
         raise ValueError(f"pair scan too large ({cells} > {_SIZE_GUARD} cells)")
     r, zero = range(d), bytes(d * d)
-    for a, X in enumerate(rows):
-        # the weights of entry (b, e) of Y in entry (i, k) of XY and of YX
-        xy = [[X[i * d + b] * (e == k) for b in r for e in r] for i in r for k in r]
-        yx = [[(b == i) * X[e * d + k] for b in r for e in r] for i in r for k in r]
-        anti = [[u + v for u, v in zip(s, t)] for s, t in zip(xy, yx)]
+    eye = [[int(i == k) for k in r] for i in r]
+    for a, row in enumerate(rows):
+        X = [row[i * d:(i + 1) * d] for i in r]
+        xy = _two_sided(X, eye)
+        anti = [[u + v for u, v in zip(s, t)] for s, t in zip(xy, _two_sided(eye, X))]
         hits = [b for b, y in enumerate(_linear_images(anti, cols, p)) if y == zero]
         for b, y in zip(hits, _linear_images(xy, [cols[b] for b in hits], p)):
             if y != zero:
