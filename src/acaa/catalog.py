@@ -5,9 +5,9 @@ satisfying the cyclic triple-bracket law is one of the catalog entries up
 to isomorphism.  ``enumerate_finite`` re-derives the dimension-2 and -3
 statements over F_3 and F_5 exhaustively: it finds every anticommutative
 tensor that satisfies the linearized law, and counts GL(n, p)-orbits on
-the survivors by closing them under a generating set of n(n-1) + 1
-matrices (``_gl_generators``, by union-find in ``_orbits``); no group
-table is built.  The law is a list of quadratic equations in the
+the survivors by closing them under three generating matrices
+(``_gl_generators``, by one walk along the images in ``_orbits``); no
+group table is built.  The law is a list of quadratic equations in the
 tensor's base-p digits, and ``_staged_filter`` solves them digit by
 digit: each partial tensor is dropped as soon as an equation whose
 digits are all set fails; at dimension 3 and p = 5 at most 1,125 partial
@@ -239,18 +239,26 @@ def _gl_order(dim, p):
 
 
 def _gl_generators(dim, p):
-    """A generating set of GL(dim, p), each matrix paired with its inverse.
+    """Three generators of GL(dim, p), each paired with its inverse: the
+    cyclic permutation s with s e_i = e_(i+1 mod dim) (inverse: its
+    transpose), the transvection I + E_01 (inverse: I + (p - 1) E_01) and
+    diag(g, 1, ..., 1) with g the least primitive root mod p.
 
-    The set is the transvections I + E_ij (i != j) and diag(g, 1, ..., 1)
-    with g the least primitive root mod p.  Row reduction by the moves
-    "add t times row j to row i", which are left multiplications by
-    I + t E_ij, takes any invertible matrix to diag(d, 1, ..., 1) with d its
-    determinant; so these transvections generate SL(dim, p), and
-    I + t E_ij = (I + E_ij)^t because E_ij^2 = 0.  The determinant map
-    GL -> F_p^x splits by d -> diag(d, 1, ..., 1), and g generates F_p^x,
-    so adding diag(g, 1, ..., 1) generates all of GL(dim, p).  In a finite
-    group every inverse is a positive power, so the closure of a point
-    under the generators alone is its whole orbit.
+    Proof.  s E_ij s^-1 = E_(i+1, j+1), indices mod dim, so conjugating
+    I + E_01 by s^k gives every I + E_(k, k+1).  For distinct i, j, k, with
+    x = E_ij and y = E_jk, x^2 = y^2 = yx = 0 and xy = E_ik with
+    xyx = xyy = 0, so the commutator (I + x)(I + y)(I - x)(I - y) is
+    I + E_ik; by induction on m, the commutator of I + E_(i, i+m-1) and
+    I + E_(i+m-1, i+m) gives I + E_(i, i+m) for 1 < m < dim, which is
+    every I + E_ij with i != j.
+    Row reduction by the moves "add t times row j to row i", which are
+    left multiplications by I + t E_ij = (I + E_ij)^t (E_ij^2 = 0), takes
+    any invertible matrix to diag(d, 1, ..., 1) with d its determinant; so
+    the I + E_ij generate SL(dim, p).  The determinant map GL -> F_p^x
+    splits by d -> diag(d, 1, ..., 1), and g generates F_p^x, so adding
+    diag(g, 1, ..., 1) generates all of GL(dim, p).  In a finite group
+    every inverse is a positive power, so the closure of a point under the
+    generators alone is its whole orbit.
     """
     root = next(g for g in range(1, p)
                 if len({pow(g, k, p) for k in range(1, p)}) == p - 1)
@@ -258,10 +266,10 @@ def _gl_generators(dim, p):
     def unit(i, j, v):  # the identity with entry (i, j) set to v
         return [[v if (a, b) == (i, j) else int(a == b) for b in range(dim)]
                 for a in range(dim)]
-    gens = [(unit(i, j, 1), unit(i, j, p - 1))
-            for i in range(dim) for j in range(dim) if i != j]
-    gens.append((unit(0, 0, root), unit(0, 0, pow(root, p - 2, p))))
-    return gens
+    cycle = [[int(a == (b + 1) % dim) for b in range(dim)] for a in range(dim)]
+    return [(cycle, [list(col) for col in zip(*cycle)]),
+            (unit(0, 1, 1), unit(0, 1, p - 1)),
+            (unit(0, 0, root), unit(0, 0, pow(root, p - 2, p)))]
 
 
 def _orbits(points, images, order):
@@ -269,34 +277,33 @@ def _orbits(points, images, order):
     finite set and a group of the given order acting on it.
 
     ``images`` holds, for each generator of the group, the images of the
-    points in order.  Every image is mapped back to an index by a dict,
-    and the orbits are the connected components of those edges (union-find,
-    each union keeping the lesser root, so a root is the least index of its
-    component).  In a finite group every inverse is a positive power, so
-    the components are the orbits.  An image outside the points means the
-    set is not closed under the action, and each orbit size must divide the
-    group order (orbit-stabilizer); either failure raises RuntimeError.
+    points in order.  Every image is mapped back to an index by a dict
+    first; then, for each index in order that no walk has reached, one
+    stack walk follows the images under every generator and gives each
+    point it reaches that index as root.  In a finite group every inverse
+    is a positive power, so a walk reaches exactly its start's orbit, and
+    an index no earlier walk reached is the least of its orbit.  An image
+    outside the points means the set is not closed under the action, and
+    each orbit size must divide the group order (orbit-stabilizer); either
+    failure raises RuntimeError.
     """
     index = {x: i for i, x in enumerate(points)}
+    steps = [list(map(index.get, image)) for image in images]
+    if any(None in step for step in steps):
+        raise RuntimeError("orbit left the filtered set; the set is not closed"
+                           " under the group")
     n = len(points)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for image in images:
-        idx = list(map(index.get, image))
-        if None in idx:
-            raise RuntimeError("orbit left the filtered set; the set is not closed"
-                               " under the group")
-        for a, b in enumerate(idx):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    roots = [find(x) for x in range(n)]
+    roots = [None] * n
+    for start in range(n):
+        if roots[start] is None:
+            roots[start], stack = start, [start]
+            while stack:
+                x = stack.pop()
+                for step in steps:
+                    y = step[x]
+                    if roots[y] is None:
+                        roots[y] = start
+                        stack.append(y)
     sizes = sorted(Counter(roots).values())
     if any(order % s for s in sizes):
         raise RuntimeError(f"orbit sizes {sizes} fail orbit-stabilizer for"

@@ -14,12 +14,13 @@ with X^2 = Y^2 = 0 and XY = -YX and confirms that XY = 0 for every such
 pair, so no faithful triple of images exists for the 3-dimensional
 Heisenberg algebra at that matrix size.  Conjugation maps such pairs to
 such pairs, so the scan starts only from one matrix per GL(3, p)-orbit
-(``_first_witness`` proves that the first witness is unchanged).  The
-matrices are rows of byte digits, and conjugation and the pair products
-are F_p-linear maps applied by ``catalog._linear_images``.  In
-characteristic 3 the law implies the Jacobi identity (the Jacobi sum is
-3 [x,[y,z]]), so at p = 3 every algebra satisfying the law is also a Lie
-algebra.
+(``_first_witness`` proves that the first witness is unchanged); the
+orbits are walked along the conjugates by the three generators of
+``catalog._gl_generators``.  The matrices are rows of byte digits, and
+conjugation and the pair products are F_p-linear maps applied by
+``catalog._linear_images``.  In characteristic 3 the law implies the
+Jacobi identity (the Jacobi sum is 3 [x,[y,z]]), so at p = 3 every
+algebra satisfying the law is also a Lie algebra.
 """
 
 from math import isqrt
@@ -241,9 +242,11 @@ def _first_witness(mats, p):
     with b < a would make b a lesser index with a witness; and a = b is
     never one, as X X = -X X gives 2 X^2 = 0, so X^2 = 0 for odd p.
 
-    The orbits come from ``catalog._orbits`` on mats and their conjugates
-    by ``catalog._gl_generators``, X -> g X g^-1 by ``_two_sided``; a
-    conjugate outside mats raises RuntimeError.
+    The orbits come from ``catalog._orbits``, one walk per orbit along the
+    conjugates of mats by the three generators of
+    ``catalog._gl_generators``, X -> g X g^-1 by ``_two_sided``; each root
+    is the least member of its orbit, and a conjugate outside mats raises
+    RuntimeError.
     """
     d = isqrt(len(mats[0]))
     images = [_linear_images(_two_sided(g, ginv), mats, p)

@@ -13,6 +13,7 @@ from acaa.catalog import (_gl_generators, _gl_order, _linear_images, _orbits, _s
                           entry, enumerate_finite, recognize)
 from acaa.fields import PrimeField, Q
 from acaa.linalg import random_invertible
+from acaa.reps import _square_zero
 
 from conftest import simple_lie_3
 
@@ -356,6 +357,92 @@ def test_generators_close_to_all_of_gl(dim, p, order):
                     nxt.append(h)
         frontier = nxt
     assert len(seen) == order == gl_order(dim, p) == _gl_order(dim, p)
+
+
+def matmul_mod(A, B, p):
+    return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*B)] for row in A]
+
+
+@pytest.mark.parametrize("dim,p", [(2, 3), (2, 5), (3, 3), (3, 5)])
+def test_generators_express_every_transvection_and_the_diagonal(dim, p):
+    # certificate at every (dim, p) the oracle serves, (3, 5) included,
+    # where closing all of GL is too costly: every I + E_ij (i != j) is a
+    # word in the three generators, and diag(g, 1, ..., 1) is one of them;
+    # those matrices generate GL (row reduction, and the determinant split)
+    (s, s_inv), (t, t_inv), (d, d_inv) = gens = _gl_generators(dim, p)
+    eye = [[int(a == b) for b in range(dim)] for a in range(dim)]
+    for g, ginv in gens:
+        assert matmul_mod(g, ginv, p) == matmul_mod(ginv, g, p) == eye
+
+    def word(*mats):
+        out = eye
+        for m in mats:
+            out = matmul_mod(out, m, p)
+        return out
+
+    # each word is kept with its inverse, itself a word
+    words, pair = {}, (t, t_inv)
+    for k in range(dim):  # s^k (I + E_01) s^-k
+        words[(k, (k + 1) % dim)] = pair
+        pair = word(s, pair[0], s_inv), word(s, pair[1], s_inv)
+    for m in range(2, dim):  # commutators of I + E_(i, i+m-1) and I + E_(i+m-1, i+m)
+        for i in range(dim):
+            h, j = (i + m - 1) % dim, (i + m) % dim
+            (x, x_inv), (y, y_inv) = words[(i, h)], words[(h, j)]
+            words[(i, j)] = word(x, y, x_inv, y_inv), word(y, x, y_inv, x_inv)
+    assert sorted(words) == [(i, j) for i in range(dim) for j in range(dim) if i != j]
+    for (i, j), (w, w_inv) in words.items():
+        assert w == [[int(a == b) + ((a, b) == (i, j)) for b in range(dim)] for a in range(dim)]
+        assert matmul_mod(w, w_inv, p) == eye
+    root = d[0][0]
+    assert d == [[root if a == b == 0 else int(a == b) for b in range(dim)] for a in range(dim)]
+    assert len({pow(root, k, p) for k in range(1, p)}) == p - 1
+    assert all(len({pow(g, k, p) for k in range(1, p)}) < p - 1 for g in range(1, root))
+
+
+def orbit_case(kind, p):
+    """Points and their images under each generator: the (3, p) survivors
+    under the tensor action, or the 3x3 square-zero matrices under
+    conjugation, formed in int64 matrix products."""
+    if kind == "tensors":
+        points = _scan(3, p)
+        return points, _tensor_images(points, 3, p)
+    points = _square_zero(p, 3)
+    M = as_array(b"".join(points), 9).astype(np.int64).reshape(-1, 3, 3)
+    return points, [[m.astype(np.uint8).tobytes()
+                     for m in (np.array(g) @ M @ np.array(ginv) % p).reshape(-1, 9)]
+                    for g, ginv in _gl_generators(3, p)]
+
+
+@pytest.mark.parametrize("kind", ["tensors", "square_zero"])
+@pytest.mark.parametrize("p", [3, 5])
+def test_orbits_match_undirected_components(kind, p):
+    # second route: join each point to its images and preimages under every
+    # generator, label the undirected components, and root each point at the
+    # least index of its component
+    points, images = orbit_case(kind, p)
+    index = {x: i for i, x in enumerate(points)}
+    neighbours = [[] for _ in points]
+    for image in images:
+        for a, y in enumerate(image):
+            b = index[y]
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+    # each component is labelled by its greatest index, then mapped to its least
+    label = [None] * len(points)
+    for start in reversed(range(len(points))):
+        if label[start] is None:
+            label[start], stack = start, [start]
+            while stack:
+                for b in neighbours[stack.pop()]:
+                    if label[b] is None:
+                        label[b] = start
+                        stack.append(b)
+    least = {}
+    for i, c in enumerate(label):
+        least.setdefault(c, i)
+    want = [least[label[i]] for i in range(len(points))]
+    assert _orbits(points, images, _gl_order(3, p)) == want
 
 
 @pytest.mark.parametrize("dim,p", [(2, 5), (3, 3), (3, 5)])
