@@ -16,9 +16,10 @@ tensors are alive, not 5^9 codes.  The points are bytes, one digit per
 ``reps`` conjugation and the pair scan) goes through ``_linear_images``,
 which forms each image coordinate of all the points in one integer sum,
 one point per lane; p <= 5 keeps every lane below 256.
-``reps.h3_faithfulness_search`` shares the filter for its square-zero
-matrices, and ``_orbits`` with the generators acting by conjugation, so
-that its pair scan starts from one matrix per orbit.
+``reps.h3_faithfulness_search`` shares ``_linear_images`` for its
+square-zero matrices, listed in closed form as u v^T, and ``_orbits`` with
+the generators acting by conjugation, so that its pair scan starts from
+one matrix per orbit.
 
 In characteristic 3 the law implies the Jacobi identity: with
 [x,[y,z]] = [z,[x,y]], the Jacobi sum is 3 [x,[y,z]] = 0.  So every
@@ -168,6 +169,13 @@ def _staged_filter(equations, n, p):
     return bytes(rows)
 
 
+@cache
+def _residues(p):
+    """The byte table v -> v mod p that reduces the lanes of
+    ``_linear_images``, built once per p."""
+    return bytes(v % p for v in range(256))
+
+
 def _linear_images(matrix, rows, p):
     """The images of the digit rows x under the F_p-linear map
     y = matrix x, each as a bytes row of digits.
@@ -183,7 +191,7 @@ def _linear_images(matrix, rows, p):
         raise ValueError(f"{n} digits mod {p} overflow the 8-bit lanes")
     flat, count = b"".join(rows), len(rows)
     X = [int.from_bytes(flat[q::n], "little") for q in range(n)]
-    mod_p = bytes(v % p for v in range(256))
+    mod_p = _residues(p)
     images = bytearray(count * m)
     for k, weights in enumerate(matrix):
         lanes = sum(w % p * x for w, x in zip(weights, X))

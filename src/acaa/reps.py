@@ -16,18 +16,21 @@ Heisenberg algebra at that matrix size.  Conjugation maps such pairs to
 such pairs, so the scan starts only from one matrix per GL(3, p)-orbit
 (``_first_witness`` proves that the first witness is unchanged); the
 orbits are walked along the conjugates by the three generators of
-``catalog._gl_generators``.  The matrices are rows of byte digits, and
-conjugation and the pair products are F_p-linear maps applied by
-``catalog._linear_images``.  In characteristic 3 the law implies the
-Jacobi identity (the Jacobi sum is 3 [x,[y,z]]), so at p = 3 every
-algebra satisfying the law is also a Lie algebra.
+``catalog._gl_generators``.  The matrices are rows of byte digits.  The
+square-zero ones are listed in closed form as u v^T with v.u = 0
+(``_square_zero``), and that form also proves the theorem outright (see
+``h3_faithfulness_search``).  The listing, conjugation and the pair
+products are F_p-linear maps applied by ``catalog._linear_images``.
+In characteristic 3 the law implies the Jacobi identity (the Jacobi sum
+is 3 [x,[y,z]]), so at p = 3 every algebra satisfying the law is also a
+Lie algebra.
 """
 
+from itertools import product
 from math import isqrt
 
 from .algebra import _SIZE_GUARD, Algebra, Element, _mul_into, _nonzero, check_acaa
-from .catalog import (_gl_generators, _gl_order, _linear_images, _orbits,
-                      _staged_filter)
+from .catalog import _gl_generators, _gl_order, _linear_images, _orbits
 from .linalg import Matrix, _int_rows
 
 
@@ -192,12 +195,23 @@ def h3_faithfulness_search(p: int, d: int = 3, jobs: int = 1):
 
     Returns None when the search is exhausted without a counterexample,
     otherwise the offending pair as integer matrices.  Only d = 3 and
-    p in {3, 5} are supported.  The square-zero matrices come from
-    ``catalog._staged_filter`` (745 of them at p = 5), and the pairs are
-    scanned from one matrix per GL(d, p)-conjugation orbit only
+    p in {3, 5} are supported.  The square-zero matrices are listed in
+    closed form by ``_square_zero`` (745 of them at p = 5), and the pairs
+    are scanned from one matrix per GL(d, p)-conjugation orbit only
     (``_first_witness``): there are 2 orbits, so 2 x 745 pairs at p = 5.
     ``jobs`` has no effect; it is accepted for the interface shared with
     ``enumerate_finite``.
+
+    Theorem: h3 has no faithful 3x3 representation over any field of
+    characteristic != 2.  Proof.  A 3x3 matrix with X^2 = 0 has rank at
+    most 1 (see ``_square_zero``), so X = u v^T with v^T u = 0 and
+    Y = a b^T with b^T a = 0, or one of them is 0.  Then XY = (v^T a) u b^T
+    and YX = (b^T u) a v^T.  If XY = -YX != 0, both are nonzero and have
+    the same image, the line of u and the line of a, so a is a multiple of
+    u and v^T a = 0, so XY = 0 after all.  A faithful representation of h3
+    ([e_0, e_1] = e_2) would need rho(e_2) = -XY != 0 for X = rho(e_0),
+    Y = rho(e_1).  The exhaustive scan at p = 3 and 5 is a second route to
+    this theorem over those two fields.
     """
     if d != 3:
         raise ValueError("the search is specific to 3x3 matrices")
@@ -213,17 +227,36 @@ def h3_faithfulness_search(p: int, d: int = 3, jobs: int = 1):
 
 
 def _square_zero(p, d):
-    """Every d x d matrix X over F_p with X^2 = 0, in code order, as digit
-    rows of d^2 bytes (entry (i, k) is digit i d + k, of weight p^(i d + k)).
+    """Every d x d matrix X over F_p with X^2 = 0, for d <= 3, in code
+    order, as digit rows of d^2 bytes (entry (i, k) is digit i d + k, of
+    weight p^(i d + k)).
 
-    The d^2 equations are the entries of X^2, each a sum of d products
-    X[i, m] X[m, k], solved by ``catalog._staged_filter``; with d = 3 and
-    p <= 5 every sum of terms mod p lies in [0, 12], within its 8-bit lane.
+    Proof that the list is complete and without repeats.  X^2 = 0 puts
+    Im X inside Ker X, so rank X <= d - rank X, rank X <= d/2 < 2.  So a
+    nonzero X has rank 1, X = u v^T with u, v != 0, and the form is unique
+    once the first nonzero entry u_j of u is 1 (the columns of X span the
+    line of u, and u fixes v).  X^2 = u (v.u) v^T = (v.u) X, so X^2 = 0
+    exactly when v.u = 0, that is v_j = -sum_(k != j) u_k v_k: the
+    admissible v are v = sum_(k != j) w_k (e_k - u_k e_j) with w != 0.
+    For each of the (p^d - 1)/(p - 1) points u, ``catalog._linear_images``
+    maps every nonzero w in F_p^(d-1) through the d^2 x (d - 1) matrix of
+    w -> u v^T: row (i, k) is u_i times row k of V_u, the d x (d - 1)
+    matrix with columns e_m - u_m e_j, m != j.  At d = 4 the rank-2 matrix
+    E_02 + E_13 squares to zero, so larger d raise ValueError.
     """
-    equations = [[(1, i * d + m, m * d + k) for m in range(d)]
-                 for i in range(d) for k in range(d)]
-    rows = _staged_filter(equations, d * d, p)
-    return [rows[i:i + d * d] for i in range(0, len(rows), d * d)]
+    if d > 3:
+        raise ValueError("the rank-1 form covers d <= 3 only; at d = 4,"
+                         " E_02 + E_13 squares to zero with rank 2")
+    r = range(d)
+    nonzero = [bytes(w) for w in product(range(p), repeat=d - 1) if any(w)]
+    rows = [bytes(d * d)]
+    for j in r:
+        for tail in product(range(p), repeat=d - 1 - j):
+            u = (0,) * j + (1,) + tail
+            V = [[int(k == m) - u[m] * (k == j) for m in r if m != j] for k in r]
+            rows += _linear_images([[ui * x for x in V[k]] for ui in u for k in r],
+                                   nonzero, p)
+    return sorted(rows, key=lambda row: row[::-1])
 
 
 def _first_witness(mats, p):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -444,26 +445,52 @@ def test_square_zero_count_matches_closed_form(p):
     assert (np.diff(codes) > 0).all()
 
 
-def test_square_zero_equations_keep_lane_sums_below_256(monkeypatch):
-    # digits below 8 for the term lanes 8 x_a + x_b, and d terms of at most
-    # p - 1 each: at most 3 * 4 = 12 < 256 for d = 3, p <= 5
+def test_square_zero_lists_through_two_digit_lanes(monkeypatch):
+    # one _linear_images call per point u of the projective plane, each
+    # mapping the p^2 - 1 nonzero w in F_p^2: n = 2 digits, so every lane
+    # sum is at most 2 (p - 1)^2 = 32 < 256 at p = 5
     seen = []
 
-    def recording(equations, n, p):
-        seen.append((list(equations), n, p))
-        return filter_(equations, n, p)
+    def recording(matrix, rows, p):
+        seen.append((matrix, rows, p))
+        return images(matrix, rows, p)
 
-    filter_ = reps._staged_filter
-    monkeypatch.setattr(reps, "_staged_filter", recording)
-    for p in (3, 5):
-        assert h3_faithfulness_search(p) is None
-    assert [(n, p) for _, n, p in seen] == [(9, 3), (9, 5)]
-    for equations, n, p in seen:
-        assert len(equations) == 9
-        for eq in equations:
-            assert len(eq) == 3 and all(sign == 1 and 0 <= a < n and 0 <= b < n
-                                        for sign, a, b in eq)
-            assert p - 1 < 8 and len(eq) * (p - 1) < 256
+    images = reps._linear_images
+    monkeypatch.setattr(reps, "_linear_images", recording)
+    for p, calls in ((3, 13), (5, 31)):
+        seen.clear()
+        reps._square_zero(p, 3)
+        assert len(seen) == calls == (p ** 3 - 1) // (p - 1)
+        for matrix, rows, q in seen:
+            n = len(matrix[0])
+            assert q == p and len(matrix) == 9 and n == 2
+            assert n * (p - 1) ** 2 < 256
+            assert sorted(rows) == [bytes(w) for w in itertools.product(range(p), repeat=2)
+                                    if any(w)]
+
+
+def brute_square_zero(p, d):
+    """Every d x d matrix with X^2 = 0 mod p, in code order, by testing
+    all p^(d d) digit rows."""
+    r, kept = range(d), []
+    for code in range(p ** (d * d)):
+        row = bytes(code // p ** q % p for q in range(d * d))
+        if all(sum(row[i * d + m] * row[m * d + k] for m in r) % p == 0
+               for i in r for k in r):
+            kept.append(row)
+    return kept
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("d", [1, 2])
+def test_small_square_zero_equals_the_brute_force_listing(d, p):
+    assert reps._square_zero(p, d) == brute_square_zero(p, d)
+
+
+def test_square_zero_refuses_size_4():
+    # E_02 + E_13 squares to zero with rank 2, outside the u v^T form
+    with pytest.raises(ValueError, match="d <= 3"):
+        reps._square_zero(3, 4)
 
 
 def test_h3_search_jobs_deterministic():
