@@ -18,7 +18,8 @@ from itertools import repeat
 from math import gcd
 from operator import floordiv, itemgetter, mod
 
-from .linalg import Matrix, _from_ints, _int_rank, _int_reduce, _int_rows, _int_scale
+from .linalg import (Matrix, _from_ints, _int_rank, _int_reduce, _int_rows, _int_scale,
+                     random_matrix)
 
 # Order of the twelve degree-3 monomials in the general quadratic identity:
 # first the left-bracketed products (x_a x_b) x_c, then the right-bracketed
@@ -413,8 +414,8 @@ def check_acaa(A: Algebra):
     j != i it is -2 [e_i, [e_i, e_j]], -2 times the check at
     (min(i, j), i, max(i, j)), whose other half holds [e_i, e_i]; in
     characteristic other than 2 the two fail together, and that triple
-    comes first.  ``catalog._acaa_checks`` builds the oracle's checks on
-    the same reduction.
+    comes first.  ``catalog._scan`` writes the oracle's equations on the
+    same reduction.
     """
     if A.field.characteristic == 2:
         raise ValueError("the linearized check is not valid in characteristic 2")
@@ -606,5 +607,5 @@ def change_basis(A: Algebra, P: Matrix) -> Algebra:
     return Algebra._from_int_rows(A.field, ints, det * mu * lam, A.symmetry)
 
 
-def random_element(A: Algebra, rng, lo=-3, hi=3) -> Element:
-    return A.element([A.field.from_int(rng.randint(lo, hi)) for _ in range(A.dim)])
+def random_element(A: Algebra, rng) -> Element:
+    return A.element(random_matrix(A.field, 1, A.dim, rng).entries[0])

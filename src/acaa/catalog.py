@@ -7,15 +7,16 @@ statements over F_3 and F_5 exhaustively: it finds every anticommutative
 tensor that satisfies the linearized law, and counts GL(n, p)-orbits on
 the survivors by closing them under three generating matrices
 (``_gl_generators``, by one walk along the images in ``_orbits``); no
-group table is built.  The law is a list of quadratic equations in the
-tensor's base-p digits, and ``_staged_filter`` solves them digit by
-digit: each partial tensor is dropped as soon as an equation whose
-digits are all set fails; at dimension 3 and p = 5 at most 1,125 partial
-tensors are alive, not 5^9 codes.  The points are bytes, one digit per
-8-bit lane, and every F_p-linear map on them (the tensor action, and in
-``reps`` conjugation and the pair scan) goes through ``_linear_images``,
-which forms each image coordinate of all the points in one integer sum,
-one point per lane; p <= 5 keeps every lane below 256.
+group table is built.  ``_scan`` writes the law as quadratic equations
+in the tensor's base-p digits, and ``_staged_filter`` solves them digit
+by digit, least significant first: each partial tensor is dropped as
+soon as an equation whose digits are all set fails; at dimension 3 and
+p = 5 at most 1,125 partial tensors are alive, not 5^9 codes.  The
+points are bytes, one digit per 8-bit lane, and every F_p-linear map on
+them (the tensor action, and in ``reps`` conjugation and the pair scan)
+goes through ``_linear_images``, which forms each image coordinate of
+all the points in one integer sum, one point per lane; p <= 5 keeps
+every lane below 256.
 ``reps.h3_faithfulness_search`` shares ``_linear_images`` for its
 square-zero matrices, listed in closed form as u v^T, and ``_orbits`` with
 the generators acting by conjugation, so that its pair scan starts from
@@ -32,7 +33,7 @@ from functools import cache
 from itertools import combinations
 
 from .algebra import Algebra, Fingerprint, check_acaa, fingerprint
-from .fields import Q, is_prime
+from .fields import Q
 from .free import free_acaa
 
 
@@ -119,11 +120,11 @@ def _staged_filter(equations, n, p):
     weight p^q).
 
     An equation is a list of terms (sign, a, b) standing for
-    sign * x_a * x_b.  The digits are set one at a time, in order of first
-    use by the shortest equations; each step repeats the live partial
-    points p times, appends the new digit, and drops every point that fails
-    an equation whose digits are now all set, so an equation is tested once,
-    on the points that passed the steps before it.
+    sign * x_a * x_b.  The digits are set least significant first; each
+    step repeats the live partial points p times, appends the new digit as
+    the most significant, and drops every point that fails an equation
+    whose digits are now all set, so the points stay in code order and an
+    equation is tested once, on the points that passed the steps before it.
 
     The live points are byte columns, lane j of a column holding point j's
     digit.  Read as integers, (x_a << 3) | x_b holds 8 x_a + x_b in each
@@ -133,16 +134,11 @@ def _staged_filter(equations, n, p):
     Digits below 8 and equation sums below 256 keep every lane in its byte;
     inputs that would break either raise ValueError.
     """
-    equations = sorted(equations, key=len)
     if p > 8 or any(len(eq) * (p - 1) > 255 for eq in equations):
         raise ValueError(f"equations mod {p} overflow the 8-bit digit lanes")
-    order = list(dict.fromkeys([v for eq in equations for _, a, b in eq for v in (a, b)]
-                               + list(range(n))))
-    step = {v: s for s, v in enumerate(order)}
     due = [[] for _ in range(n)]
     for eq in equations:
-        terms = [(sign, step[a], step[b]) for sign, a, b in eq]
-        due[max(max(a, b) for _, a, b in terms)].append(terms)
+        due[max(max(a, b) for _, a, b in eq)].append(eq)
     term = {sign: bytes(sign * (x >> 3) * (x & 7) % p for x in range(256)) for sign in (1, -1)}
     fails, marked = bytes(128 * (v % p != 0) for v in range(256)), bytes(range(128, 256))
     cols, live = [], 1
@@ -161,11 +157,8 @@ def _staged_filter(equations, n, p):
         cols = [(x | drop).to_bytes(live, "little").translate(None, marked) for x in lanes]
         live = len(cols[0])
     rows = bytearray(live * n)
-    for s, v in enumerate(order):
-        rows[v::n] = cols[s]
-    if order != sorted(order):  # the points are in step order, not code order
-        rows = b"".join(sorted((rows[i:i + n] for i in range(0, len(rows), n)),
-                               key=lambda row: row[::-1]))
+    for q, col in enumerate(cols):
+        rows[q::n] = col
     return bytes(rows)
 
 
@@ -198,44 +191,6 @@ def _linear_images(matrix, rows, p):
         images[k::m] = lanes.to_bytes(count, "little").translate(mod_p)
     images = bytes(images)
     return [images[i:i + m] for i in range(0, len(images), m)]
-
-
-def _acaa_checks(dim, pairs):
-    """The linearized law as a list of checks, cheapest first.
-
-    Check (i, j, k), i < k, is [e_i,[e_j,e_k]] + [e_k,[e_j,e_i]] = 0; for
-    odd p the triples with i >= k add nothing (the proof is in the
-    docstring of ``algebra.check_acaa``, which scans the same triples).
-    Each basis bracket is a signed pair index, so a check is a list of at
-    most 2(dim - 1) terms (sign, q1, m, q2) standing for
-    sign * c[q1][m] * c[q2], a vector over the basis.
-    """
-    pair_index = {pr: q for q, pr in enumerate(pairs)}
-
-    def basis_bracket(i, m):
-        if i == m:
-            return None
-        if i < m:
-            return 1, pair_index[(i, m)]
-        return -1, pair_index[(m, i)]
-
-    checks = []
-    for i in range(dim):
-        for k in range(i + 1, dim):
-            for j in range(dim):
-                terms = []
-                for outer, inner_pair in ((i, (j, k)), (k, (j, i))):
-                    b1 = basis_bracket(*inner_pair)
-                    if b1 is None:
-                        continue
-                    s1, q1 = b1
-                    for m in range(dim):
-                        b2 = basis_bracket(outer, m)
-                        if b2 is not None:
-                            s2, q2 = b2
-                            terms.append((s1 * s2, q1, m, q2))
-                checks.append(terms)
-    return sorted(checks, key=len)
 
 
 def _gl_order(dim, p):
@@ -341,14 +296,30 @@ def _tensor_images(survivors, dim, p):
 
 
 def _scan(dim, p):
-    """The skew tensors over F_p that pass every check of ``_acaa_checks``,
-    as digit rows in code order: one equation per check and basis
-    coordinate, over the digits of the tensor in pair-major order (digit
-    q dim + r is coordinate r of the bracket of pair q)."""
+    """The skew tensors over F_p that satisfy the linearized law, as digit
+    rows in code order.  Digit q dim + r is coordinate r of the bracket of
+    pair q, and a basis bracket [e_a, e_m] is a signed pair index, or
+    nothing when a = m.  Coordinate r of check (i, j, k), i < k,
+    [e_i,[e_j,e_k]] + [e_k,[e_j,e_i]] = 0, is one equation; for odd p the
+    triples with i >= k add nothing (proof: ``algebra.check_acaa``)."""
     pairs = list(combinations(range(dim), 2))
+    bracket = {}
+    for q, (a, m) in enumerate(pairs):
+        bracket[a, m], bracket[m, a] = (1, q), (-1, q)
     n = len(pairs) * dim
-    equations = [[(sign, q1 * dim + m, q2 * dim + r) for sign, q1, m, q2 in terms]
-                 for terms in _acaa_checks(dim, pairs) for r in range(dim)]
+    equations = []
+    for i, k in pairs:
+        for j in range(dim):
+            terms = []  # (sign, q1 dim + m, q2 dim), awaiting coordinate r
+            for outer, inner in ((i, (j, k)), (k, (j, i))):
+                if inner not in bracket:
+                    continue
+                s1, q1 = bracket[inner]
+                for m in range(dim):
+                    if m != outer:
+                        s2, q2 = bracket[outer, m]
+                        terms.append((s1 * s2, q1 * dim + m, q2 * dim))
+            equations += [[(sign, a, b + r) for sign, a, b in terms] for r in range(dim)]
     rows = _staged_filter(equations, n, p)
     return [rows[i:i + n] for i in range(0, len(rows), n)]
 
@@ -364,9 +335,9 @@ def enumerate_finite(dim: int, p: int, jobs: int = 1):
     """
     if dim not in (2, 3):
         raise ValueError("enumeration supports dimensions 2 and 3 only")
-    # p <= 5 keeps the 8-bit lanes of _staged_filter and _linear_images in
-    # range: 9 (p - 1)^2 <= 144 < 256
-    if not is_prime(p) or p == 2 or p > 5:
+    # the odd primes at most 5; p <= 5 keeps the 8-bit lanes of
+    # _staged_filter and _linear_images in range: 9 (p - 1)^2 <= 144 < 256
+    if p not in (3, 5):
         raise ValueError("p must be an odd prime at most 5")
     survivors = _scan(dim, p)
     roots = _orbits(survivors, _tensor_images(survivors, dim, p), _gl_order(dim, p))

@@ -182,6 +182,9 @@ def cmd_rep_check(args) -> CommandReport:
 
 def cmd_cohomology(args) -> CommandReport:
     A = _load_algebra_arg(args.algebra)
+    w = check_anticommutative(A)
+    if w is not None:
+        raise CliError(f"precondition failed: not anticommutative at basis pair {w}")
     rng = random.Random(args.seed)
     payload = {"check": args.check, "samples": args.samples, "seed": args.seed}
     if args.check == "d2d1":

@@ -291,16 +291,16 @@ def g_map(G: GradedAlgebra, x: int) -> Matrix:
     return Matrix(A.field, list(zip(*cols)))
 
 
-def random_endomorphism(A: Algebra, rng, lo=-3, hi=3) -> Matrix:
-    return random_matrix(A.field, A.dim, A.dim, rng, lo, hi)
+def random_endomorphism(A: Algebra, rng) -> Matrix:
+    return random_matrix(A.field, A.dim, A.dim, rng)
 
 
-def random_skew_cochain(A: Algebra, rng, lo=-3, hi=3):
+def random_skew_cochain(A: Algebra, rng):
     zero = A.field.zero
     phi = [[(zero,) * A.dim for _ in range(A.dim)] for _ in range(A.dim)]
     for i in range(A.dim):
         for j in range(i + 1, A.dim):
-            vec = tuple(A.field.from_int(rng.randint(lo, hi)) for _ in range(A.dim))
+            vec = random_matrix(A.field, 1, A.dim, rng).entries[0]
             phi[i][j] = vec
             phi[j][i] = tuple(-v for v in vec)
     return tuple(tuple(row) for row in phi)

@@ -320,14 +320,15 @@ def subspace_equal(a: Subspace, b: Subspace) -> bool:
     return a == b
 
 
-def random_matrix(field, nrows, ncols, rng, lo=-3, hi=3) -> Matrix:
-    return Matrix(field, [[field.from_int(rng.randint(lo, hi)) for _ in range(ncols)]
+def random_matrix(field, nrows, ncols, rng) -> Matrix:
+    """Seeded random matrix with integer entries drawn from -3..3."""
+    return Matrix(field, [[field.from_int(rng.randint(-3, 3)) for _ in range(ncols)]
                           for _ in range(nrows)])
 
 
-def random_invertible(field, n, rng, lo=-3, hi=3) -> Matrix:
+def random_invertible(field, n, rng) -> Matrix:
     """Seeded random invertible matrix (resampled until full rank)."""
     while True:
-        m = random_matrix(field, n, n, rng, lo, hi)
+        m = random_matrix(field, n, n, rng)
         if m.rank() == n:
             return m

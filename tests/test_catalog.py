@@ -1,7 +1,7 @@
 import random
 import types
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -160,8 +160,8 @@ def test_decode_matches_divmod_on_random_codes_mod5():
 
 
 def test_decode_matches_divmod_on_non_contiguous_survivor_codes():
-    # the filter sets the digits out of code order, so its points are
-    # sorted back into code order at the end
+    # the filter sets each new digit as the most significant, so its points
+    # come out in code order, with gaps where tensors were dropped
     survivors = _scan(3, 5)
     assert all(type(row) is bytes and len(row) == 9 for row in survivors)
     codes = encode(survivors, 5)
@@ -301,6 +301,28 @@ def test_staged_filter_refuses_digits_or_sums_that_overflow_a_lane():
     # and 64 terms of at most 4 reach 256 exactly
     with pytest.raises(ValueError, match="overflow the 8-bit digit lanes"):
         _staged_filter([[(1, 0, 1)] * 64], 2, 5)
+
+
+def random_equation(rng, n):
+    """1-4 signed terms over the digits of F_p^n: any digits, only the upper
+    half of them, or only the last one."""
+    digits = rng.choice((range(n), range(n // 2, n), [n - 1]))
+    return [(rng.choice((1, -1)), rng.choice(digits), rng.choice(digits))
+            for _ in range(rng.randint(1, 4))]
+
+
+def test_staged_filter_matches_brute_force_on_random_systems():
+    # every point of F_p^n listed by itertools.product, last digit slowest,
+    # so that reversing each tuple gives the rows in code order
+    rng = random.Random(24)
+    for _ in range(300):
+        p, n = rng.choice((3, 5, 7)), rng.randint(1, 5)
+        equations = [random_equation(rng, n) for _ in range(rng.randint(0, 4))]
+        points = (x[::-1] for x in product(range(p), repeat=n))
+        want = b"".join(bytes(x) for x in points
+                        if all(sum(s * x[a] * x[b] for s, a, b in eq) % p == 0
+                               for eq in equations))
+        assert _staged_filter(equations, n, p) == want, (p, n, equations)
 
 
 @pytest.mark.parametrize("n,m,p", [(9, 9, 3), (9, 9, 5), (9, 3, 5), (15, 4, 5), (7, 7, 7),

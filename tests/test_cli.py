@@ -10,7 +10,7 @@ from acaa.algebra import check_acaa
 from acaa.cli import main
 from acaa.serialize import save_algebra
 
-from conftest import simple_lie_3
+from conftest import simple_lie_3, upper_triangular_2x2
 
 
 def run(capsys, *argv):
@@ -230,6 +230,17 @@ def test_cohomology_cyclic_output_is_pinned(capsys, tmp_path, algebra):
         '{\n  "command": "cohomology",\n  "payload": {\n    "check": "cyclic",\n'
         '    "samples": 20,\n    "seed": 3\n  },\n  "status": "holds",\n'
         '  "witness": null\n}\n'))
+
+
+@pytest.mark.parametrize("check", ("d2d1", "cyclic", "d3d2", "gmap"))
+def test_cohomology_names_the_anticommutativity_precondition(capsys, tmp_path, check):
+    # every check presumes an anticommutative product; on a plain algebra the
+    # error names that precondition, not a cochain the user never supplied
+    path = tmp_path / "ut2.json"
+    save_algebra(upper_triangular_2x2(), path)
+    assert main(["cohomology", "--check", check, "--algebra", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: precondition failed: not anticommutative at basis pair (0, 0)\n"
 
 
 def test_catalog_command(capsys):
