@@ -374,10 +374,19 @@ def check_quadratic_identity(A: Algebra, coeffs: QuadIdentityCoeffs):
 def _first_failing_triple(A, coeffs, triples):
     """The basis-triple scan of ``check_quadratic_identity`` and
     ``check_acaa``: None, or the first of ``triples`` where the 12-term sum
-    is nonzero."""
+    is nonzero.
+
+    When A^3 = 0 no triple is scanned: each of the twelve monomials
+    (x_a x_b) x_c and x_a (x_b x_c) lies in (A*A)*A + A*(A*A), which the
+    cube rows of ``derived_cube_rows`` span, so if every cube row vanishes
+    (mod p over F_p) every monomial does, and the sum is zero on every
+    triple whatever the coefficients.  Otherwise the scan runs and gives
+    the same first witness."""
     vals = [A.field.coerce(v) for v in coeffs.a + coeffs.b]
-    to_int = _int_scale(A.field, vals)[1]
     p, _, t = A.int_table()
+    if not any(_nonzero(row, p) for row in derived_cube_rows(A)[1]):
+        return None
+    to_int = _int_scale(A.field, vals)[1]
     d = A.dim
     cols = [[t[m][k] for m in range(d)] for k in range(d)]
     # a term (w, planes, m, a, b) adds w x_m (x_a x_b) through the rows t,
@@ -403,7 +412,8 @@ def check_acaa(A: Algebra):
     elements.  It is x1 (x2 x3) + x3 (x2 x1), the right-bracketed (1, 2, 3)
     and (3, 2, 1) of TRIPLE_PERMS: a = 0, b = (1, 0, 1, 0, 0, 0).  It is
     homogeneous in c, so the scaled ``Algebra.int_table`` gives the same
-    verdicts.
+    verdicts.  An algebra with A^3 = 0, as is every catalog entry but
+    free3, passes on its cube rows alone (``_first_failing_triple``).
 
     Only the triples with i < k are scanned, in lexicographic order, and
     the first witness is that of the scan over all d^3 triples: the first
@@ -528,21 +538,23 @@ def fingerprint(A: Algebra) -> Fingerprint:
     """The dimensions of A, of A*A, of the annihilator and of the cube
     space, ranked on ``Algebra.int_table`` (mod p over F_p).  x is in the
     annihilator iff x e_j = 0 and e_j x = 0 for every j: the kernel of the
-    rows (c[i][j][k])_i and (c[j][i][k])_i, of which a skew table needs
-    only the first."""
+    d^2 rows (c[i][j][k])_i and the d^2 rows (c[j][i][k])_i, of which a
+    skew table needs only the first.  Its rank is that of the transpose,
+    d rows with row i the flattened c[i][j][k] over (j, k), followed for a
+    plain table by the flattened c[j][i][k]."""
     d = A.dim
     p, _, t = A.int_table()
     derived, cubes = derived_cube_rows(A)
-
-    def rows(table):  # rows[j][k][i] = table[i][j][k]
-        out = [[[0] * d for _ in range(d)] for _ in range(d)]
-        for i, plane in enumerate(table):
-            for j, u in enumerate(plane):
-                for k, c in u:
-                    out[j][k][i] = c
-        return [row for plane in out for row in plane]
-    ann_rows = rows(t) if A.symmetry == "skew" else rows(t) + rows(zip(*t))
-    return Fingerprint(d, len(derived), d - _int_rank(ann_rows, d, p),
+    planes = (t,) if A.symmetry == "skew" else (t, tuple(zip(*t)))  # zip(*t)[i][j] = t[j][i]
+    width = len(planes) * d * d
+    ann_rows = []
+    for i in range(d):
+        row = [0] * width
+        for n, u in enumerate(u for plane in planes for u in plane[i]):
+            for k, c in u:
+                row[n * d + k] = c
+        ann_rows.append(row)
+    return Fingerprint(d, len(derived), d - _int_rank(ann_rows, width, p),
                        _int_rank(cubes, d, p))
 
 

@@ -474,6 +474,12 @@ def test_change_basis_matches_fraction_reference_on_random_algebras(A, seed):
     assert change_basis(A, P) == reference_change_basis(A, P)
 
 
+def over_field(F, A):
+    """An integral table A over Q read over F, with A's symmetry hint."""
+    return Algebra(F, A.dim, [[[F.from_int(int(c)) for c in row] for row in plane]
+                              for plane in A.tensor], symmetry=A.symmetry)
+
+
 def test_change_basis_matches_fraction_reference_on_catalog():
     rng = random.Random(77)
     for e in all_entries():
@@ -495,9 +501,7 @@ def test_change_basis_matches_fraction_reference_on_catalog():
     # and without the skew hint, sparse (n <= d nonzero products) and dense
     # (n up to d^2) sources: the integer table built with the result is the
     # one int_table builds from its Fractions
-    examples = [Algebra(F, e.algebra.dim, [[[F.from_int(int(c)) for c in row] for row in plane]
-                                           for plane in e.algebra.tensor], symmetry="skew")
-                for F in FIELDS for e in all_entries()]
+    examples = [over_field(F, e.algebra) for F in FIELDS for e in all_entries()]
     for F in FIELDS:
         examples.append(Algebra.from_products(
             F, 7, {(i, j): {k: scalar(F, rng.randint(-3, 3), rng.randint(1, 3)) for k in range(7)}
@@ -712,3 +716,91 @@ def test_quadratic_identity_value_over_prime_field():
     assert quadratic_identity_value(A, acaa_coeffs(F5), x, y, z) == x * (y * z) - y * (z * x)
     assert check_quadratic_identity(A, jacobi_coeffs(F5)) is None
     assert check_quadratic_identity(A, acaa_coeffs(F5)) == (0, 0, 1)
+
+
+# --- the cube certificate of the triple scan ---------------------------------
+
+def f3_cube_a_multiple_of_three():
+    """Over F_3, [e3, e1] = e1 + e2 and [e3, e2] = 2 (e1 + e2).  A*A is
+    spanned by e1 + e2 and [e3, e1 + e2] = 3 (e1 + e2), so A^3 = 0 mod 3,
+    while the integer cube row of e3 is (3, 3, 0)."""
+    return Algebra.from_products(PrimeField(3), 3, {(0, 2): {0: -1, 1: -1},
+                                                    (1, 2): {0: -2, 1: -2}}, skew=True)
+
+
+def presets_and_references(A, rng):
+    """The witnesses of every preset (the named identities, a random 12-term
+    coefficient vector with no zero among them, rho, admissibility and, on
+    an anticommutative table, check_acaa), each asserted equal to the
+    Element reference's."""
+    coeffs = [make(A.field) for make in (jacobi_coeffs, acaa_coeffs, antiassociativity_coeffs)]
+    coeffs.append(QuadIdentityCoeffs.build(A.field, *(
+        [scalar(A.field, rng.choice((-2, -1, 1, 2)), rng.randint(1, 4)) for _ in range(6)]
+        for _ in range(2))))
+    pairs = [(check_quadratic_identity(A, c), reference_check_quadratic_identity(A, c))
+             for c in coeffs]
+    pairs += [(check_rho_associative(A), reference_check_rho_associative(A)),
+              (check_acaa_admissible(A), reference_check_acaa_admissible(A))]
+    if reference_check_anticommutative(A) is None:
+        pairs.append((check_acaa(A), reference_check_acaa(A)))
+    got, want = zip(*pairs)
+    assert got == want
+    return got
+
+
+def test_cube_certificate_passes_every_law_when_the_cube_vanishes():
+    rng = random.Random(25)
+    C = f3_cube_a_multiple_of_three()
+    assert [row for row in derived_cube_rows(C)[1] if any(row)] == [[3, 3, 0]]
+    # the entries themselves are among the named algebras checked above;
+    # here each gets one basis-changed image, the field running through
+    # Q, F_3 and F_5 in turn (the Element references are slow on dense
+    # tables, above all over Q)
+    entries = [e.algebra for e in all_entries() if e.name != "free3"]
+    tables = [C, Algebra(C.field, C.dim, C.tensor)]
+    tables += [change_basis(over_field(F, A), random_invertible(F, A.dim, rng))
+               for A, F in zip(entries, FIELDS * len(entries))]
+    assert {B.field for B in tables[2:] if any(map(any, B.int_table()[2]))} == set(FIELDS)
+    for A in tables:
+        assert reference_fingerprint(A)[3] == 0
+        assert set(presets_and_references(A, rng)) == {None}
+
+
+def test_cube_certificate_runs_after_the_coefficients_are_checked():
+    # h3 over F_5 has A^3 = 0, so no triple is scanned, but coefficients
+    # from another field are still refused, as on free3 where the scan runs
+    F3, F5 = PrimeField(3), PrimeField(5)
+    for A in (over_field(F5, entry("h3").algebra), free_acaa(3, F5).algebra):
+        with pytest.raises(ValueError, match="value from F_3 used in F_5"):
+            check_quadratic_identity(A, jacobi_coeffs(F3))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(skew_algebras(max_dim=4).filter(nonabelian_acaa), st.integers(0, 2 ** 32))
+def test_cube_certificate_on_random_acaa_tables(A, seed):
+    got = presets_and_references(A, random.Random(seed))
+    if reference_fingerprint(A)[3] == 0:
+        assert set(got) == {None}
+
+
+def test_cube_certificate_leaves_the_scan_when_the_cube_is_nonzero():
+    rng = random.Random(26)
+    F5 = PrimeField(5)
+    for A in (free_acaa(3).algebra, free_acaa(3, F5).algebra, simple_lie_3()):
+        assert reference_fingerprint(A)[3] > 0
+        presets_and_references(A, rng)
+    free4 = free_acaa(4, F5).algebra
+    assert fingerprint(free4).cube_dim == 4
+    for make in (jacobi_coeffs, acaa_coeffs, antiassociativity_coeffs):
+        assert (check_quadratic_identity(free4, make(F5))
+                == reference_check_quadratic_identity(free4, make(F5)))
+    assert check_acaa(free4) == reference_check_acaa(free4) is None
+
+
+@KERNEL_SETTINGS
+@given(planted_tables(), st.integers(0, 2 ** 32))
+def test_cube_certificate_leaves_the_scan_on_planted_tables(A, seed):
+    # [e_a, [e_a, e_b]] = c^2 e_b, so A^3 != 0, the scan runs, and
+    # check_acaa, the last witness, is not None
+    assert reference_fingerprint(A)[3] > 0
+    assert presets_and_references(A, random.Random(seed))[-1] is not None
