@@ -19,7 +19,7 @@ from .cohomology import (GradedAlgebra, check_cyclic_sum, delta0, delta1,
 from .fields import FpElement, PrimeField, Q, RationalField
 from .free import (FreeAcaaAlgebra, eval_word, free_acaa, graded_dims,
                    normal_form, parse_word)
-from .linalg import Matrix, Subspace, rank_kernel, span, subspace_equal
+from .linalg import Matrix, Subspace, span
 from .operad import (MonomialSpace, acaa_dims, dual_dims,
                      dual_relations_force_nilpotency, monomial_space,
                      orthogonal_complement, pairing_matrix)
@@ -28,8 +28,8 @@ from .reps import (Representation, ad_matrix, adjoint_representation,
                    check_weighted_antiderivation, h3_faithfulness_search,
                    is_faithful)
 from .serialize import algebra_from_json, algebra_to_json, load_algebra, save_algebra
-from .series import (TruncatedSeries, acaa_generating_series, compose,
-                     compositional_inverse, dual_generating_series,
-                     generating_series, koszul_residual, minimal_model_series)
+from .series import (TruncatedSeries, acaa_generating_series,
+                     dual_generating_series, generating_series,
+                     koszul_residual, minimal_model_series)
 
 __version__ = "0.1.0"

@@ -501,9 +501,6 @@ class Fingerprint(namedtuple("Fingerprint", "dim derived_dim ann_dim cube_dim"))
 
     __slots__ = ()
 
-    def as_tuple(self):
-        return tuple(self)
-
 
 def derived_cube_rows(A: Algebra):
     """Integer spanning rows of the derived space A*A and of the cube space

@@ -21,7 +21,6 @@ from .algebra import (antiassociativity_coeffs, check_acaa,
                       check_quadratic_identity, check_rho_associative,
                       fingerprint, jacobi_coeffs, QuadIdentityCoeffs)
 from .free import free_acaa, graded_dims
-from .linalg import rank_kernel
 from .reps import (_independent, adjoint_representation, ad_matrix, check_representation,
                    h3_faithfulness_search)
 from .serialize import (algebra_to_json, load_algebra, matrix_to_json,
@@ -119,7 +118,7 @@ def cmd_fingerprint(args) -> CommandReport:
     A = _load_algebra_arg(args.algebra)
     fp = fingerprint(A)
     return CommandReport("fingerprint", "value",
-                         payload={"fingerprint": list(fp.as_tuple())})
+                         payload={"fingerprint": list(fp)})
 
 
 def cmd_recognize(args) -> CommandReport:
@@ -138,10 +137,10 @@ def cmd_enumerate(args) -> CommandReport:
 def cmd_ad(args) -> CommandReport:
     A = _load_algebra_arg(args.algebra)
     m = ad_matrix(A, args.element.split(","))
-    rank, kernel = rank_kernel(m)
+    rank = m.rank()
     return CommandReport("ad", "value",
                          payload={"matrix": matrix_to_json(m), "rank": rank,
-                                  "kernel_dim": kernel.dim})
+                                  "kernel_dim": m.ncols - rank})
 
 
 def cmd_rep_check(args) -> CommandReport:
@@ -264,7 +263,7 @@ def cmd_catalog(args) -> CommandReport:
         entries = all_entries()
     payload = {"entries": [
         {"name": e.name, "dim": e.algebra.dim,
-         "fingerprint": list(e.fingerprint.as_tuple()),
+         "fingerprint": list(e.fingerprint),
          "description": e.description}
         for e in entries]}
     return CommandReport("catalog", "value", payload=payload)

@@ -118,8 +118,9 @@ class RationalField:
         raise ValueError(f"cannot coerce {v!r} into Q")
 
     def parse(self, v) -> Fraction:
-        """Read a serialized value: a string like ``"-3/4"`` or ``"5"``."""
-        if isinstance(v, (str, int)):
+        """Read a serialized value: a string like ``"-3/4"`` or ``"5"``.
+        JSON ``true``/``false`` are refused, though ``bool`` is an ``int``."""
+        if isinstance(v, (str, int)) and not isinstance(v, bool):
             try:
                 return Fraction(v)
             except ZeroDivisionError:
@@ -168,8 +169,8 @@ class PrimeField:
         raise ValueError(f"cannot coerce {v!r} into F_{self.p}")
 
     def parse(self, v) -> FpElement:
-        """Read a serialized value: an integer in [0, p)."""
-        if isinstance(v, int) and 0 <= v < self.p:
+        """Read a serialized value: an integer in [0, p), not a bool."""
+        if isinstance(v, int) and not isinstance(v, bool) and 0 <= v < self.p:
             return FpElement(self.p, v)
         raise ValueError(f"bad F_{self.p} literal {v!r}")
 

@@ -211,10 +211,6 @@ class Matrix:
     def transpose(self):
         return Matrix(self.field, list(zip(*self.entries)) if self.entries else [])
 
-    def rref(self):
-        rows, pivots = _rref(self.field, self.entries)
-        return Matrix(self.field, rows), tuple(pivots)
-
     def rank(self) -> int:
         _, pivots = _rref(self.field, self.entries)
         return len(pivots)
@@ -301,23 +297,6 @@ def span(field, vectors, ambient_dim) -> Subspace:
         return Subspace(field, ambient_dim, [])
     rows, pivots = _rref(field, vectors)
     return Subspace(field, ambient_dim, rows[:len(pivots)])
-
-
-def rank_kernel(m: Matrix):
-    """Rank of m together with its right kernel as a canonical subspace.
-
-    One elimination: the kernel has one vector per free column, so the rank
-    is ncols - dim kernel (rank-nullity)."""
-    kernel = span(m.field, m.kernel_vectors(), m.ncols)
-    return m.ncols - kernel.dim, kernel
-
-
-def subspace_equal(a: Subspace, b: Subspace) -> bool:
-    if a.field != b.field:
-        raise ValueError("subspaces over different fields")
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    return a == b
 
 
 def random_matrix(field, nrows, ncols, rng) -> Matrix:

@@ -6,17 +6,24 @@ inner product is diagonal there: +sign(sigma) on left-bracketed monomials,
 -sign(sigma) on right-bracketed ones, all cross pairings zero.
 
 For an anticommutative product the three cyclically independent monomials
-(x1 x2) x3, (x2 x3) x1, (x3 x1) x2 span the quotient.  The dual relations
-pair these cyclically, (x1 x2) x3 + (x2 x3) x1 and its rotations, and the
-rank-3 computation here shows they force every triple product to vanish,
-which is why the dual arity dimensions collapse to (1, 1, 0, ...).
+(x1 x2) x3, (x2 x3) x1, (x3 x1) x2 span the quotient.  The cyclic
+relations (x1 x2) x3 + (x2 x3) x1 and its rotations have a rank-3 matrix
+on that basis, so together they force every triple product to vanish.
+
+They are not the relations of ACAA's Koszul dual, and ``dual_dims``
+(1, 1, 0, ...) is not that dual's arity dimensions.  The ACAA relations R
+span the 2-dimensional S3-module V inside the 3-dimensional arity-3 space,
+so R^perp is a single relation, (x y) z + (y z) x + (z x) y = 0 on a
+commutative product.  The rank 3 and the list (1, 1, 0, ...) are pinned by
+acceptance criteria 2 and 10 and by the benchmark's cli workload; ROADMAP
+item 1 computes the dual from its relations.
 """
 
 from collections import namedtuple
 
 from .algebra import TRIPLE_PERMS, perm_sign
 from .fields import Q
-from .linalg import Matrix, Subspace, rank_kernel
+from .linalg import Matrix, Subspace, span
 
 
 class MonomialSpace(namedtuple("MonomialSpace", "variant labels")):
@@ -47,8 +54,10 @@ def acaa_dims(count: int = 8) -> list:
 
 
 def dual_dims(count: int = 8) -> list:
-    """Arity dimensions (1, 1, 0, ...) of the dual: its algebras are
-    2-step nilpotent Lie algebras."""
+    """The fixed list (1, 1, 0, ...), read as the dual's arity dimensions by
+    ``acaa operad dims`` and ``series.dual_generating_series``.  It is not
+    ACAA's Koszul dual, whose arity-3 space is 2-dimensional (see the
+    module docstring)."""
     if count < 1:
         raise ValueError("count must be positive")
     return [1 if n <= 2 else 0 for n in range(1, count + 1)]
@@ -77,8 +86,7 @@ def orthogonal_complement(V: Subspace) -> Subspace:
     if V.dim == 0:
         return Subspace(Q, 12, Matrix.identity(Q, 12).entries)
     rows = [pairing.apply(v) for v in V.basis]
-    _, kernel = rank_kernel(Matrix(Q, rows))
-    return kernel
+    return span(Q, Matrix(Q, rows).kernel_vectors(), 12)
 
 
 def cyclic_relation_matrix(field=Q) -> Matrix:
@@ -88,5 +96,6 @@ def cyclic_relation_matrix(field=Q) -> Matrix:
 
 def dual_relations_force_nilpotency() -> bool:
     """True: the three cyclic relations have rank 3 over Q, so they force
-    (x_i x_j) x_k = 0 identically."""
+    (x_i x_j) x_k = 0 identically.  They are not the Koszul dual's
+    relations (see the module docstring)."""
     return cyclic_relation_matrix(Q).rank() == 3

@@ -1,4 +1,4 @@
-"""JSON formats for algebras, representations and cochains.
+"""JSON formats for algebras and representations.
 
 Rational values travel as strings ("p/q" or "n"); prime-field values as
 integers in [0, p).  For skew algebras only products with left < right are
@@ -140,31 +140,3 @@ def representation_from_json(data: dict, algebra: Algebra):
     images = [matrix_from_json(algebra.field, rows) for rows in data["images"]]
     return Representation(algebra, target_dim, images)
 
-
-def cochain_to_json(field, arity: int, dim: int, values) -> dict:
-    def encode(node, depth):
-        if depth == 0:
-            return field.to_json(node)
-        return [encode(child, depth - 1) for child in node]
-
-    return {
-        "arity": arity,
-        "dim": dim,
-        "field": field_to_json(field),
-        "values": encode(values, arity + 1),
-    }
-
-
-def cochain_from_json(data: dict):
-    field = field_from_json(data["field"])
-    arity = int(data["arity"])
-    dim = int(data["dim"])
-
-    def decode(node, depth):
-        if depth == 0:
-            return field.parse(node)
-        if len(node) != dim:
-            raise ValueError("cochain tensor does not match declared dimension")
-        return tuple(decode(child, depth - 1) for child in node)
-
-    return field, arity, dim, decode(data["values"], arity + 1)

@@ -125,14 +125,6 @@ class TruncatedSeries:
         return f"TruncatedSeries[{body} + O(t^{self.order + 1})]"
 
 
-def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    return f.compose(g)
-
-
-def compositional_inverse(f: TruncatedSeries) -> TruncatedSeries:
-    return f.compositional_inverse()
-
-
 def generating_series(dims, order: int) -> TruncatedSeries:
     """Sum of (-1)^n dims[n-1] / n! t^n for an operad's arity dimensions."""
     coeffs = []
@@ -148,7 +140,8 @@ def acaa_generating_series(order: int = 6) -> TruncatedSeries:
 
 
 def dual_generating_series(order: int = 6) -> TruncatedSeries:
-    """-t + t^2/2, from arity dimensions (1, 1, 0, ...)."""
+    """-t + t^2/2, from ``operad.dual_dims``'s fixed (1, 1, 0, ...), which
+    are not the arity dimensions of ACAA's Koszul dual (see ``acaa.operad``)."""
     return generating_series(dual_dims(order), order)
 
 

@@ -90,13 +90,13 @@ def test_criterion_05_catalog_integrity():
             assert fingerprint(e.algebra) == e.fingerprint, e.name
         by_dim = {}
         for e in all_entries():
-            by_dim.setdefault(e.algebra.dim, []).append(e.fingerprint.as_tuple())
+            by_dim.setdefault(e.algebra.dim, []).append(e.fingerprint)
         for fps in by_dim.values():
             assert len(set(fps)) == len(fps)
         rng = random.Random(20240817)
         for dim in (2, 3, 4, 5):
             for e in catalog(dim):
-                assert e.fingerprint.as_tuple() == expected[e.name]
+                assert e.fingerprint == expected[e.name]
                 for _ in range(50):
                     P = random_invertible(Q, e.algebra.dim, rng)
                     assert recognize(change_basis(e.algebra, P)) == e.name, e.name

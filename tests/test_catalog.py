@@ -54,7 +54,7 @@ def test_every_entry_is_acaa_with_expected_fingerprint():
 def test_fingerprints_distinct_within_dimension():
     by_dim = {}
     for e in all_entries():
-        by_dim.setdefault(e.algebra.dim, []).append(e.fingerprint.as_tuple())
+        by_dim.setdefault(e.algebra.dim, []).append(e.fingerprint)
     for dim, fps in by_dim.items():
         assert len(set(fps)) == len(fps), dim
 

@@ -6,8 +6,11 @@ import sys
 import pytest
 
 from acaa import reps
-from acaa.algebra import check_acaa
+from acaa.algebra import Algebra, check_acaa
+from acaa.catalog import all_entries, entry
 from acaa.cli import main
+from acaa.fields import PrimeField, Q
+from acaa.linalg import span
 from acaa.serialize import save_algebra
 
 from conftest import simple_lie_3, upper_triangular_2x2
@@ -115,6 +118,29 @@ def test_ad_command(capsys):
     assert data["payload"]["rank"] == 1
 
 
+@pytest.mark.parametrize("name", [e.name for e in all_entries()])
+def test_ad_rank_nullity_on_every_catalog_entry(capsys, tmp_path, name):
+    # ad reports rank + kernel_dim == dim by rank-nullity; the rank is checked
+    # against the span of the printed matrix's columns, over Q by catalog
+    # name and over F_5 from a file
+    A = entry(name).algebra
+    F5 = PrimeField(5)
+    path = tmp_path / "f5.json"
+    save_algebra(Algebra(F5, A.dim, [[[F5.from_int(int(c)) for c in row] for row in plane]
+                                     for plane in A.tensor], symmetry=A.symmetry), path)
+    d = A.dim
+    elements = [",".join("1" if k == j else "0" for k in range(d)) for j in range(d)]
+    elements.append(",".join(str((1, -1, 2)[k % 3]) for k in range(d)))
+    for field, ref in ((Q, name), (F5, str(path))):
+        for element in elements:
+            code, data = run_json(capsys, "ad", ref, "--element", element)
+            assert code == 0
+            payload = data["payload"]
+            assert payload["rank"] + payload["kernel_dim"] == d, (ref, element)
+            columns = list(zip(*[[field.parse(v) for v in row] for row in payload["matrix"]]))
+            assert payload["rank"] == span(field, columns, d).dim, (ref, element)
+
+
 def test_rep_check_adjoint(capsys):
     code, data = run_json(capsys, "rep-check", "--adjoint", "h3")
     assert code == 0
@@ -191,9 +217,6 @@ def test_cohomology_checks(capsys, tmp_path):
 
 def so3_file(tmp_path, field):
     """so(3), the cross-product Lie algebra, saved over Q or F_5."""
-    from acaa.algebra import Algebra
-    from acaa.fields import PrimeField
-
     path = tmp_path / "so3.json"
     if field == "Q":
         save_algebra(simple_lie_3(), path)
@@ -287,11 +310,23 @@ def one_error_line(capsys):
     {"field": {"type": "Q"}, "dim": 3,
      "products": [{"left": 0, "right": 1, "value": 5}]},
     {"field": {"type": "Fp", "p": 2 ** 89 - 1}, "dim": 3, "products": []},
+    {"field": {"type": "Q"}, "dim": 3, "symmetry": "skew",
+     "products": [{"left": 0, "right": 1, "value": {"2": True}}]},
+    {"field": {"type": "Fp", "p": 5}, "dim": 3, "symmetry": "skew",
+     "products": [{"left": 0, "right": 1, "value": {"2": True}}]},
 ])
 def test_malformed_algebra_exits_2_with_one_error_line(capsys, tmp_path, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main(["check", "--identity", "acaa", str(path)]) == 2
+    assert one_error_line(capsys)
+
+
+def test_boolean_representation_entry_exits_2_with_one_error_line(capsys, tmp_path):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"source": "h3", "target_dim": 1,
+                                "images": [[[True]], [[0]], [[0]]]}))
+    assert main(["rep-check", str(path)]) == 2
     assert one_error_line(capsys)
 
 
@@ -329,9 +364,6 @@ IDENTITIES = ("anticommutative", "acaa", "jacobi", "antiassociative", "rho-assoc
 
 @pytest.mark.parametrize("identity", IDENTITIES)
 def test_every_identity_runs_on_prime_field_files(capsys, tmp_path, identity):
-    from acaa.algebra import Algebra
-    from acaa.fields import PrimeField
-
     F5 = PrimeField(5)
     tables = {"h3": ({(0, 1): {2: 1}}, True),
               "cross": ({(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: 4}}, True),

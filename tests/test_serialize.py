@@ -12,8 +12,7 @@ from acaa.free import free_acaa
 from acaa.linalg import Matrix
 from acaa.reps import adjoint_representation
 from acaa.serialize import (FormatError, algebra_from_json, algebra_to_json,
-                            cochain_from_json, cochain_to_json, load_algebra,
-                            matrix_from_json, matrix_to_json,
+                            load_algebra, matrix_from_json, matrix_to_json,
                             representation_from_json, representation_to_json,
                             save_algebra)
 
@@ -135,12 +134,3 @@ def test_representation_round_trip():
     assert list(again.images) == list(rep.images)
     # the payload is valid JSON
     json.dumps(data)
-
-
-def test_cochain_round_trip():
-    h3 = entry("h3").algebra
-    phi = tuple(tuple(h3.product(i, j) for j in range(3)) for i in range(3))
-    data = cochain_to_json(Q, 2, 3, phi)
-    field, arity, dim, values = cochain_from_json(data)
-    assert (field, arity, dim) == (Q, 2, 3)
-    assert values == phi

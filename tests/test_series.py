@@ -4,10 +4,9 @@ from math import factorial
 
 import pytest
 
-from acaa.series import (TruncatedSeries, acaa_generating_series, compose,
-                         compositional_inverse, dual_generating_series,
-                         generating_series, koszul_residual,
-                         minimal_model_series)
+from acaa.series import (TruncatedSeries, acaa_generating_series,
+                         dual_generating_series, generating_series,
+                         koszul_residual, minimal_model_series)
 
 
 def test_generating_series_values():
@@ -21,21 +20,21 @@ def test_generating_series_values():
 def test_compose_identity():
     g = acaa_generating_series(6)
     t = TruncatedSeries.t(6)
-    assert compose(t, g) == g
-    assert compose(g, t) == g
+    assert t.compose(g) == g
+    assert g.compose(t) == g
 
 
 def test_compose_polynomial_example():
     f = TruncatedSeries(4, [0, 1])            # t^2
     g = TruncatedSeries(4, [1, 1])            # t + t^2
-    assert compose(f, g).coeffs == (0, Fraction(1), Fraction(2), Fraction(1))
+    assert f.compose(g).coeffs == (0, Fraction(1), Fraction(2), Fraction(1))
 
 
 def test_inverse_trivial_cases():
     t = TruncatedSeries.t(5)
-    assert compositional_inverse(t) == t
+    assert t.compositional_inverse() == t
     minus_t = TruncatedSeries(5, [-1])
-    assert compositional_inverse(minus_t) == minus_t
+    assert minus_t.compositional_inverse() == minus_t
 
 
 def test_minimal_model_series_matches_known_coefficients():
@@ -47,20 +46,20 @@ def test_minimal_model_series_matches_known_coefficients():
 def test_minimal_model_negated_convention():
     g = acaa_generating_series(6)
     m = minimal_model_series(6, negated_convention=True)
-    assert compose(g, -m) == TruncatedSeries.t(6)
+    assert g.compose(-m) == TruncatedSeries.t(6)
 
 
 def test_inverse_is_two_sided():
     g = acaa_generating_series(8)
-    u = compositional_inverse(g)
+    u = g.compositional_inverse()
     t = TruncatedSeries.t(8)
-    assert compose(g, u) == t
-    assert compose(u, g) == t
+    assert g.compose(u) == t
+    assert u.compose(g) == t
 
 
 def test_inverse_requires_nonzero_linear_term():
     with pytest.raises(ValueError):
-        compositional_inverse(TruncatedSeries(4, [0, 1]))
+        TruncatedSeries(4, [0, 1]).compositional_inverse()
 
 
 def test_inverse_of_random_series():
@@ -71,9 +70,9 @@ def test_inverse_of_random_series():
         coeffs = [Fraction(c1)] + [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
                                    for _ in range(5)]
         f = TruncatedSeries(6, coeffs)
-        u = compositional_inverse(f)
-        assert compose(f, u) == t
-        assert compose(u, f) == t
+        u = f.compositional_inverse()
+        assert f.compose(u) == t
+        assert u.compose(f) == t
 
 
 def test_koszul_residual_zero_for_trivial_pair():
@@ -110,9 +109,9 @@ def test_known_koszul_pairs_satisfy_the_signed_equation():
     com = generating_series([1] * order, order)
     assoc = generating_series([factorial(n) for n in range(1, order + 1)], order)
     t = TruncatedSeries.t(order)
-    assert compose(lie, com) == t
-    assert compose(com, lie) == t
-    assert compose(assoc, assoc) == t
+    assert lie.compose(com) == t
+    assert com.compose(lie) == t
+    assert assoc.compose(assoc) == t
     assert koszul_residual(lie, com, order).coeffs == (0, 1, 1, 1, 1, 1)
 
 
