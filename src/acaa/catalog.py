@@ -330,8 +330,8 @@ def enumerate_finite(dim: int, p: int, jobs: int = 1):
 
     Returns (acaa_count, iso_class_count).  ``jobs`` has no effect: the
     staged filter holds at most 1,125 partial tensors, so there is nothing
-    to split.  It is accepted for the interface shared with
-    ``reps.h3_faithfulness_search``.
+    to split.  It is still accepted because the benchmark's oracle workload
+    passes ``jobs=1`` (ROADMAP item 5).
     """
     if dim not in (2, 3):
         raise ValueError("enumeration supports dimensions 2 and 3 only")

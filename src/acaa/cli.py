@@ -27,10 +27,6 @@ from .serialize import (algebra_to_json, load_algebra, matrix_to_json,
                         representation_from_json, save_algebra)
 
 
-class CliError(Exception):
-    pass
-
-
 class CommandReport:
     __slots__ = ("command", "status", "witness", "payload")
 
@@ -66,37 +62,39 @@ def _load_algebra_arg(ref: str):
     try:
         return catalog_entry(ref).algebra
     except ValueError:
-        raise CliError(f"no such file or catalog entry: {ref}")
+        raise ValueError(f"no such file or catalog entry: {ref}")
 
 
 def _labels(A, indices):
     return [A.label(i) for i in indices]
 
 
+def _check_custom(A, coeffs):
+    if not coeffs:
+        raise ValueError("--identity custom requires --coeffs c1,...,c12")
+    parts = coeffs.split(",")
+    if len(parts) != 12:
+        raise ValueError("--coeffs needs exactly 12 comma-separated values")
+    return check_quadratic_identity(A, QuadIdentityCoeffs.build(A.field, parts[:6], parts[6:]))
+
+
+# check --identity: name -> checker(A, --coeffs), returning None or a witness
+IDENTITIES = {
+    "anticommutative": lambda A, coeffs: check_anticommutative(A),
+    "acaa": lambda A, coeffs: check_acaa(A),
+    "jacobi": lambda A, coeffs: check_quadratic_identity(A, jacobi_coeffs(A.field)),
+    "antiassociative": lambda A, coeffs: check_quadratic_identity(
+        A, antiassociativity_coeffs(A.field)),
+    "rho-associative": lambda A, coeffs: check_rho_associative(A),
+    "acaa-admissible": lambda A, coeffs: check_acaa_admissible(A),
+    "custom": _check_custom,
+}
+
+
 def cmd_check(args) -> CommandReport:
     A = _load_algebra_arg(args.algebra)
-    identity = args.identity
-    if identity == "custom":
-        if not args.coeffs:
-            raise CliError("--identity custom requires --coeffs c1,...,c12")
-        parts = args.coeffs.split(",")
-        if len(parts) != 12:
-            raise CliError("--coeffs needs exactly 12 comma-separated values")
-        coeffs = QuadIdentityCoeffs.build(A.field, parts[:6], parts[6:])
-        witness = check_quadratic_identity(A, coeffs)
-    elif identity == "anticommutative":
-        witness = check_anticommutative(A)
-    elif identity == "acaa":
-        witness = check_acaa(A)
-    elif identity == "jacobi":
-        witness = check_quadratic_identity(A, jacobi_coeffs(A.field))
-    elif identity == "antiassociative":
-        witness = check_quadratic_identity(A, antiassociativity_coeffs(A.field))
-    elif identity == "rho-associative":
-        witness = check_rho_associative(A)
-    else:  # acaa-admissible, the last of the choices argparse allows
-        witness = check_acaa_admissible(A)
-    payload = {"identity": identity, "dim": A.dim}
+    witness = IDENTITIES[args.identity](A, args.coeffs)
+    payload = {"identity": args.identity, "dim": A.dim}
     if witness is None:
         return CommandReport("check", "holds", payload=payload)
     return CommandReport("check", "fails", witness=_labels(A, witness), payload=payload)
@@ -128,7 +126,7 @@ def cmd_recognize(args) -> CommandReport:
 
 
 def cmd_enumerate(args) -> CommandReport:
-    acaa_count, iso = enumerate_finite(args.dim, args.p, jobs=args.jobs)
+    acaa_count, iso = enumerate_finite(args.dim, args.p)
     return CommandReport("enumerate", "value",
                          payload={"dim": args.dim, "p": args.p,
                                   "acaa_count": acaa_count, "iso_classes": iso})
@@ -145,15 +143,14 @@ def cmd_ad(args) -> CommandReport:
 
 def cmd_rep_check(args) -> CommandReport:
     if args.h3_search:
-        result = h3_faithfulness_search(args.p, args.d, jobs=args.jobs)
+        result = h3_faithfulness_search(args.p)
         if result is None:
             return CommandReport("rep-check", "value",
-                                 payload={"search": "exhausted", "p": args.p,
-                                          "d": args.d})
+                                 payload={"search": "exhausted", "p": args.p, "d": 3})
         x, y = result
         return CommandReport(
             "rep-check", "fails", witness=["counterexample pair"],
-            payload={"search": "counterexample", "p": args.p, "d": args.d,
+            payload={"search": "counterexample", "p": args.p, "d": 3,
                      "x": [list(r) for r in x], "y": [list(r) for r in y]})
     if args.adjoint:
         A = _load_algebra_arg(args.adjoint)
@@ -163,11 +160,11 @@ def cmd_rep_check(args) -> CommandReport:
             data = json.load(fh)
         source = data.get("source") if isinstance(data, dict) else None
         if not isinstance(source, str):
-            raise CliError("representation file lacks a source algebra reference")
+            raise ValueError("representation file lacks a source algebra reference")
         A = _load_algebra_arg(source)
         rep = representation_from_json(data, A)
     else:
-        raise CliError("rep-check needs a representation file, --adjoint or --h3-search")
+        raise ValueError("rep-check needs a representation file, --adjoint or --h3-search")
     witness = check_representation(rep)
     if witness is not None:
         law, idx = witness
@@ -183,24 +180,17 @@ def cmd_cohomology(args) -> CommandReport:
     A = _load_algebra_arg(args.algebra)
     w = check_anticommutative(A)
     if w is not None:
-        raise CliError(f"precondition failed: not anticommutative at basis pair {w}")
+        raise ValueError(f"precondition failed: not anticommutative at basis pair {w}")
     rng = random.Random(args.seed)
     payload = {"check": args.check, "samples": args.samples, "seed": args.seed}
-    if args.check == "d2d1":
+    if args.check in ("d2d1", "cyclic"):
         for sample in range(args.samples):
-            f = coh.random_endomorphism(A, rng)
-            psi = coh.d2_after_d1(A, f)
-            if not coh.is_zero_tensor(psi):
-                where = next((i, j, k) for i in range(A.dim) for j in range(A.dim)
-                             for k in range(A.dim) if any(psi[i][j][k]))
-                return CommandReport("cohomology", "fails",
-                                     witness=[f"sample {sample}"] + _labels(A, where),
-                                     payload=payload)
-        return CommandReport("cohomology", "holds", payload=payload)
-    if args.check == "cyclic":
-        for sample in range(args.samples):
-            phi = coh.random_skew_cochain(A, rng)
-            w = coh.check_cyclic_sum(A, phi)
+            if args.check == "d2d1":
+                psi = coh.d2_after_d1(A, coh.random_endomorphism(A, rng))
+                w = next(((i, j, k) for i in range(A.dim) for j in range(A.dim)
+                          for k in range(A.dim) if any(psi[i][j][k])), None)
+            else:
+                w = coh.check_cyclic_sum(A, coh.random_skew_cochain(A, rng))
             if w is not None:
                 return CommandReport("cohomology", "fails",
                                      witness=[f"sample {sample}"] + _labels(A, w),
@@ -280,9 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[common],
                        help="verify an identity on an algebra file")
-    p.add_argument("--identity", required=True,
-                   choices=("anticommutative", "acaa", "jacobi", "antiassociative",
-                            "rho-associative", "acaa-admissible", "custom"))
+    p.add_argument("--identity", required=True, choices=IDENTITIES)
     p.add_argument("--coeffs", help="12 comma-separated coefficients for custom")
     p.add_argument("algebra", help="algebra JSON file or catalog name")
     p.set_defaults(func=cmd_check)
@@ -306,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exhaustive mod-p classification oracle")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("ad", parents=[common], help="adjoint matrix of an element")
@@ -323,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h3-search", action="store_true",
                    help="exhaust nilpotent anticommuting 3x3 pairs over F_p")
     p.add_argument("--p", type=int, default=3)
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
     p.set_defaults(func=cmd_rep_check)
 
     p = sub.add_parser("cohomology", parents=[common],
@@ -371,12 +356,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
-        for option in ("jobs", "samples", "order", "count"):
+        for option in ("samples", "order", "count"):
             value = vars(args).get(option, 1)
             if value < 1:
-                raise CliError(f"--{option} must be a positive integer, got {value}")
+                raise ValueError(f"--{option} must be a positive integer, got {value}")
         report = args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.monotonic() - start

@@ -165,7 +165,7 @@ def check_cyclic_sum(A: Algebra, phi):
     """
     w = check_anticommutative(A)
     if w is not None:
-        raise ValueError(f"precondition failed: not anticommutative at {w}")
+        raise ValueError(f"precondition failed: not anticommutative at basis pair {w}")
     psi = delta2(A, phi)
     return cyclic_sum_witness(A, psi)
 

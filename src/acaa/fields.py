@@ -101,7 +101,6 @@ class FpElement:
 class RationalField:
     """The rationals.  Elements are ``Fraction`` values in lowest terms."""
 
-    kind = "Q"
     characteristic = 0
 
     zero = Fraction(0)
@@ -142,8 +141,6 @@ class RationalField:
 
 class PrimeField:
     """The field F_p for a prime p.  Elements are ``FpElement`` residues."""
-
-    kind = "Fp"
 
     def __init__(self, p: int):
         if not is_prime(p):

@@ -199,8 +199,8 @@ def h3_faithfulness_search(p: int, d: int = 3, jobs: int = 1):
     closed form by ``_square_zero`` (745 of them at p = 5), and the pairs
     are scanned from one matrix per GL(d, p)-conjugation orbit only
     (``_first_witness``): there are 2 orbits, so 2 x 745 pairs at p = 5.
-    ``jobs`` has no effect; it is accepted for the interface shared with
-    ``enumerate_finite``.
+    ``jobs`` has no effect; it is still accepted because the benchmark's
+    oracle workload passes ``jobs=1`` (ROADMAP item 5).
 
     Theorem: h3 has no faithful 3x3 representation over any field of
     characteristic != 2.  Proof.  A 3x3 matrix with X^2 = 0 has rank at

@@ -85,8 +85,6 @@ def algebra_from_json(data: dict) -> Algebra:
     products = {}
     for item in data.get("products", []):
         i, j = item["left"], item["right"]
-        if skew and i >= j:
-            raise ValueError(f"skew file lists product ({i}, {j}) with left >= right")
         value = {int(k): field.parse(v) for k, v in item["value"].items()}
         if (i, j) in products:
             raise ValueError(f"duplicate product entry ({i}, {j})")

@@ -196,7 +196,6 @@ def test_oracle_output_is_pinned(capsys, argv):
     text, js = ORACLE_PINS[argv]
     assert run(capsys, *argv) == (0, text)
     assert run(capsys, *argv, "--format", "json") == (0, js)
-    assert run(capsys, *argv, "--jobs", "4") == run(capsys, *argv, "--jobs", "1") == (0, text)
 
 
 def test_cohomology_checks(capsys, tmp_path):
@@ -331,10 +330,11 @@ def test_boolean_representation_entry_exits_2_with_one_error_line(capsys, tmp_pa
 
 
 @pytest.mark.parametrize("argv", [
+    # each guarded option at zero and below zero, on each subcommand that takes it
     ["cohomology", "--check", "d2d1", "--algebra", "h5", "--samples", "-3"],
-    ["enumerate", "--dim", "2", "--p", "3", "--jobs", "0"],
-    ["rep-check", "--h3-search", "--jobs", "-1"],
-    ["rep-check", "--h3-search", "--p", "5", "--jobs", "0"],
+    ["cohomology", "--check", "cyclic", "--algebra", "h5", "--samples", "0"],
+    ["series", "koszul", "--order", "-1"],
+    ["operad", "dims", "--count", "-1"],
     ["series", "inverse", "--order", "0"],
     ["operad", "dims", "--count", "0"],
 ])
@@ -358,34 +358,66 @@ def test_division_by_zero_literal_exits_2_with_one_error_line(capsys, argv):
     assert one_error_line(capsys)
 
 
-IDENTITIES = ("anticommutative", "acaa", "jacobi", "antiassociative", "rho-associative",
-              "acaa-admissible", "custom")
+# per identity, the witness on the h3, cross and plain tables over F_5 and on
+# free3 over Q: None where it holds (exit 0), the basis labels where it fails
+# (exit 1); acaa on plain, which is not anticommutative, exits 2 instead
+IDENTITY_WITNESSES = {
+    "anticommutative": (None, None, ["e1", "e1"], None),
+    "acaa": (None, ["e1", "e1", "e2"], 2, None),
+    "jacobi": (None, None, ["e1", "e1", "e1"], ["X1", "X2", "X3"]),
+    "antiassociative": (None, ["e1", "e1", "e2"], ["e1", "e1", "e1"], None),
+    "rho-associative": (None, ["e1", "e2", "e1"], ["e1", "e1", "e1"], ["X1", "X2", "X3"]),
+    "acaa-admissible": (None, ["e1", "e1", "e2"], ["e1", "e2", "e2"], None),
+    "custom": (None, ["e1", "e2", "e1"], ["e1", "e1", "e1"], ["X1", "X2", "X3"]),
+}
 
 
-@pytest.mark.parametrize("identity", IDENTITIES)
+@pytest.mark.parametrize("identity", IDENTITY_WITNESSES)
 def test_every_identity_runs_on_prime_field_files(capsys, tmp_path, identity):
     F5 = PrimeField(5)
     tables = {"h3": ({(0, 1): {2: 1}}, True),
               "cross": ({(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: 4}}, True),
               "plain": ({(0, 0): {1: 2}, (0, 1): {2: 3}, (2, 1): {0: 1}}, False)}
+    refs = []
     for name, (products, skew) in tables.items():
         path = tmp_path / f"{name}.json"
         save_algebra(Algebra.from_products(F5, 3, products, skew=skew), path)
-        extra = ["--coeffs", "1,0,2,0,0,4,1,0,0,3,4,0"] if identity == "custom" else []
-        code = main(["check", "--identity", identity, *extra, str(path)])
-        capsys.readouterr()
-        if identity == "acaa" and not skew:
-            assert code == 2  # the anticommutativity precondition
-        else:
-            assert code in (0, 1), (name, identity)
-        if name == "h3" and identity == "jacobi":
-            assert code == 0
+        refs.append(str(path))
+    extra = ["--coeffs", "1,0,2,0,0,4,1,0,0,3,4,0"] if identity == "custom" else []
+    for ref, witness in zip(refs + ["free3"], IDENTITY_WITNESSES[identity]):
+        argv = ["check", "--identity", identity, *extra, ref]
+        if witness == 2:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                "error: precondition failed: not anticommutative at basis pair (0, 0)\n")
+            continue
+        code, status = (0, "holds") if witness is None else (1, "fails")
+        dim = 7 if ref == "free3" else 3
+        shown = "" if witness is None else f"witness: {', '.join(witness)}\n"
+        assert run(capsys, *argv) == (code, f"command: check\nstatus: {status}\n{shown}"
+                                            f'dim: {dim}\nidentity: "{identity}"\n'), ref
+        assert run_json(capsys, *argv) == (code, {
+            "command": "check", "status": status, "witness": witness,
+            "payload": {"identity": identity, "dim": dim}}), ref
 
 
 def src_env():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
+
+def test_removed_options_exit_2_without_a_traceback():
+    # argparse refuses an unknown option through SystemExit, so each runs in
+    # its own process
+    for argv in (["enumerate", "--dim", "2", "--p", "3", "--jobs", "1"],
+                 ["rep-check", "--h3-search", "--jobs", "1"],
+                 ["rep-check", "--h3-search", "--d", "3"]):
+        done = subprocess.run([sys.executable, "-m", "acaa.cli", *argv], env=src_env(),
+                              capture_output=True, text=True, timeout=30)
+        assert done.returncode == 2, argv
+        assert "unrecognized arguments" in done.stderr, argv
+        assert "Traceback" not in done.stderr, argv
 
 
 def test_cli_import_does_not_load_numpy():

@@ -21,7 +21,7 @@ from acaa.reps import ad_matrix
 from conftest import (FIELDS, KERNEL_SETTINGS, plain_algebras, random_invertible_over,
                       reference_cyclic_sum_witness, reference_delta1, reference_delta2,
                       reference_delta3, reference_is_skew, scalar, simple_lie_3,
-                      skew_algebras)
+                      skew_algebras, upper_triangular_2x2)
 
 
 def bracket_cochain(A):
@@ -79,6 +79,17 @@ def test_delta2_lands_in_c3_and_cyclic_sum_vanishes():
             assert is_sym12(A, psi)
             assert cyclic_sum_witness(A, psi) is None
             assert check_cyclic_sum(A, phi) is None
+
+
+def test_check_cyclic_sum_names_its_precondition_as_check_acaa_does():
+    A = upper_triangular_2x2()
+    message = "precondition failed: not anticommutative at basis pair (0, 0)"
+    with pytest.raises(ValueError) as exc:
+        check_cyclic_sum(A, random_skew_cochain(A, random.Random(0)))
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        check_acaa(A)
+    assert str(exc.value) == message
 
 
 def random_table(field, d, rng, skew):
